@@ -5,8 +5,9 @@
 //   scalar            per-row Matrix::Row copy + Model::Predict — the
 //                     pre-batching pipeline idiom
 //   node_batched      tree-outer / row-inner traversal of the node-object
-//                     Tree reference (Tree::AccumulateBatch) — what
-//                     PredictBatch was before the flat runtime
+//                     Tree (reference::AccumulateBatch, the oracle walker
+//                     in tests/reference/) — what PredictBatch was before
+//                     the flat runtime
 //   batched           one Model::PredictBatch call over the whole Matrix —
 //                     the compiled SoA FlatEnsemble path for tree models
 //   batched+parallel  fixed-size row chunks dispatched through the global
@@ -33,6 +34,7 @@
 #include "model/decision_tree.h"
 #include "model/gbdt.h"
 #include "model/logistic_regression.h"
+#include "reference/tree_walkers.h"
 
 using namespace xai;
 using namespace xai::bench;
@@ -206,18 +208,19 @@ int main(int argc, char** argv) {
   if (!logistic.ok()) return 1;
 
   // Node-based references: the same tree-outer / row-inner loop PredictBatch
-  // ran before the flat runtime, kept alive by Tree::AccumulateBatch.
+  // ran before the flat runtime, kept as the reference walker.
   const BatchFn gbdt_node = [&](const Matrix& x) {
     std::vector<double> out(x.rows(), gbdt->base_score());
     for (const Tree& t : gbdt->trees())
-      t.AccumulateBatch(x, gbdt->learning_rate(), &out);
+      reference::AccumulateBatch(t, x, gbdt->learning_rate(), &out);
     if (gbdt->loss() == GbdtLoss::kLogistic)
       for (double& v : out) v = Sigmoid(v);
     return out;
   };
   const BatchFn forest_node = [&](const Matrix& x) {
     std::vector<double> out(x.rows(), 0.0);
-    for (const Tree& t : forest->trees()) t.AccumulateBatch(x, 1.0, &out);
+    for (const Tree& t : forest->trees())
+      reference::AccumulateBatch(t, x, 1.0, &out);
     for (double& v : out) v /= static_cast<double>(forest->trees().size());
     return out;
   };

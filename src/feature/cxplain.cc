@@ -59,25 +59,27 @@ Result<CxplainExplainer> CxplainExplainer::Fit(const Model& model,
   }
 
   // One regression tree per feature: x -> importance_j.
-  explainer.per_feature_trees_.reserve(d);
+  std::vector<Tree> trees;
+  trees.reserve(d);
   for (size_t j = 0; j < d; ++j) {
     std::vector<double> tj = targets.Col(j);
-    explainer.per_feature_trees_.push_back(
-        FitRegressionTree(x, tj, opts.tree));
+    trees.push_back(FitRegressionTree(x, tj, opts.tree));
   }
+  explainer.per_feature_trees_ = FlatEnsemble::Compile(trees);
   return explainer;
 }
 
 Result<FeatureAttribution> CxplainExplainer::Explain(
     const std::vector<double>& instance) {
-  const size_t d = per_feature_trees_.size();
+  const size_t d = per_feature_trees_.num_trees();
   if (instance.size() != d)
     return Status::InvalidArgument("Cxplain: arity mismatch");
   FeatureAttribution out;
   out.values.resize(d);
   double total = 0.0;
   for (size_t j = 0; j < d; ++j) {
-    out.values[j] = std::max(0.0, per_feature_trees_[j].Predict(instance));
+    out.values[j] =
+        std::max(0.0, per_feature_trees_.PredictTree(j, instance.data()));
     total += out.values[j];
   }
   if (total > 1e-12) {

@@ -6,6 +6,7 @@
 #include "common/result.h"
 #include "core/explainer.h"
 #include "data/dataset.h"
+#include "model/flat_tree.h"
 #include "model/model.h"
 #include "model/tree.h"
 
@@ -55,7 +56,9 @@ class CxplainExplainer : public AttributionExplainer {
   Schema schema_;
   std::vector<double> column_means_;
   double temperature_;
-  std::vector<Tree> per_feature_trees_;
+  /// One regression tree per feature (tree j predicts importance_j),
+  /// compiled into one flat ensemble.
+  FlatEnsemble per_feature_trees_;
 };
 
 }  // namespace xai

@@ -82,46 +82,13 @@ void Unwind(std::vector<PathElement>* m, size_t idx) {
   p.pop_back();
 }
 
-void Recurse(const Tree& tree, const std::vector<double>& x,
-             std::vector<double>* phi, int node,
-             std::vector<PathElement> path,  // By value: one copy per call.
-             double pz, double po, int pi) {
-  Extend(&path, pz, po, pi);
-  const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-  if (nd.is_leaf()) {
-    for (size_t i = 1; i < path.size(); ++i) {
-      const double w = UnwoundSum(path, i);
-      (*phi)[static_cast<size_t>(path[i].feature)] +=
-          w * (path[i].one - path[i].zero) * nd.value;
-    }
-    return;
-  }
-  const bool go_left = x[static_cast<size_t>(nd.feature)] <= nd.threshold;
-  const int hot = go_left ? nd.left : nd.right;
-  const int cold = go_left ? nd.right : nd.left;
-  const double hot_z =
-      tree.nodes[static_cast<size_t>(hot)].cover / nd.cover;
-  const double cold_z =
-      tree.nodes[static_cast<size_t>(cold)].cover / nd.cover;
-  double iz = 1.0;
-  double io = 1.0;
-  size_t k = 1;
-  while (k < path.size() && path[k].feature != nd.feature) ++k;
-  if (k < path.size()) {
-    iz = path[k].zero;
-    io = path[k].one;
-    Unwind(&path, k);
-  }
-  Recurse(tree, x, phi, hot, path, iz * hot_z, io, nd.feature);
-  Recurse(tree, x, phi, cold, path, iz * cold_z, 0.0, nd.feature);
-}
-
-/// The same recursion over the compiled SoA arrays: node reads become
-/// indexed loads, the path-weight arithmetic is untouched, so every phi it
-/// produces is the same double as the node-based Recurse above.
+/// The path-dependent TreeSHAP recursion over the compiled SoA arrays:
+/// node reads are indexed loads. It produces the same doubles as the
+/// node-object walker in tests/reference/, which the flat parity tests
+/// check with EXPECT_EQ.
 void FlatRecurse(const FlatEnsemble& ens, const double* x,
                  std::vector<double>* phi, int32_t node,
-                 std::vector<PathElement> path,  // By value, as above.
+                 std::vector<PathElement> path,  // By value: one copy per call.
                  double pz, double po, int pi) {
   Extend(&path, pz, po, pi);
   if (ens.is_leaf(node)) {
@@ -156,59 +123,36 @@ void FlatRecurse(const FlatEnsemble& ens, const double* x,
 
 }  // namespace
 
-void TreeShapValues(const Tree& tree, const std::vector<double>& x,
-                    std::vector<double>* phi) {
-  XAI_OBS_COUNT("feature.tree_shap.path_walks");
-  Recurse(tree, x, phi, 0, {}, 1.0, 1.0, -1);
-}
-
 void FlatTreeShapValues(const FlatEnsemble& ensemble, size_t t,
                         const double* x, std::vector<double>* phi) {
   XAI_OBS_COUNT("feature.tree_shap.path_walks");
   FlatRecurse(ensemble, x, phi, ensemble.root(t), {}, 1.0, 1.0, -1);
 }
 
-std::vector<double> EnsembleTreeShap(const std::vector<Tree>& trees,
-                                     double scale, size_t num_features,
-                                     const std::vector<double>& x) {
-  std::vector<double> phi(num_features, 0.0);
-  std::vector<double> tree_phi(num_features, 0.0);
-  for (const Tree& t : trees) {
-    std::fill(tree_phi.begin(), tree_phi.end(), 0.0);
-    TreeShapValues(t, x, &tree_phi);
-    for (size_t j = 0; j < num_features; ++j) phi[j] += scale * tree_phi[j];
-  }
-  return phi;
-}
+TreePathGame::TreePathGame(const FlatEnsemble& ensemble, double scale,
+                           std::vector<double> instance)
+    : ensemble_(ensemble), scale_(scale), instance_(std::move(instance)) {}
 
-TreePathGame::TreePathGame(const std::vector<Tree>& trees, double scale,
-                           size_t num_features, std::vector<double> instance)
-    : trees_(trees), scale_(scale), instance_(std::move(instance)) {
-  (void)num_features;
-}
-
-double TreePathGame::NodeExpectation(const Tree& tree, int node,
+double TreePathGame::NodeExpectation(int32_t node,
                                      const std::vector<bool>& s) const {
-  const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-  if (nd.is_leaf()) return nd.value;
-  if (s[static_cast<size_t>(nd.feature)]) {
-    const int next =
-        instance_[static_cast<size_t>(nd.feature)] <= nd.threshold
-            ? nd.left
-            : nd.right;
-    return NodeExpectation(tree, next, s);
+  if (ensemble_.is_leaf(node)) return ensemble_.value(node);
+  const size_t f = static_cast<size_t>(ensemble_.feature(node));
+  const int32_t left = ensemble_.left(node);
+  const int32_t right = ensemble_.right(node);
+  if (s[f]) {
+    return NodeExpectation(
+        instance_[f] <= ensemble_.threshold(node) ? left : right, s);
   }
-  const double cl = tree.nodes[static_cast<size_t>(nd.left)].cover;
-  const double cr = tree.nodes[static_cast<size_t>(nd.right)].cover;
-  return (cl * NodeExpectation(tree, nd.left, s) +
-          cr * NodeExpectation(tree, nd.right, s)) /
+  const double cl = ensemble_.cover(left);
+  const double cr = ensemble_.cover(right);
+  return (cl * NodeExpectation(left, s) + cr * NodeExpectation(right, s)) /
          (cl + cr);
 }
 
 double TreePathGame::Value(const std::vector<bool>& in_coalition) const {
   double total = 0.0;
-  for (const Tree& t : trees_)
-    total += scale_ * NodeExpectation(t, 0, in_coalition);
+  for (size_t t = 0; t < ensemble_.num_trees(); ++t)
+    total += scale_ * NodeExpectation(ensemble_.root(t), in_coalition);
   return total;
 }
 
@@ -311,7 +255,7 @@ namespace {
 /// DFS state for interventional TreeSHAP: which unique path features were
 /// resolved toward the instance (X) or the reference (B).
 struct InterventionalWalker {
-  const Tree& tree;
+  const FlatEnsemble& ens;
   const std::vector<double>& x;
   const std::vector<double>& ref;
   std::vector<double>* phi;
@@ -320,9 +264,9 @@ struct InterventionalWalker {
   std::vector<int> x_features;
   std::vector<int> b_features;
 
-  void Walk(int node) {
-    const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-    if (nd.is_leaf()) {
+  void Walk(int32_t node) {
+    if (ens.is_leaf(node)) {
+      const double value = ens.value(node);
       const double nx = static_cast<double>(x_features.size());
       const double nb = static_cast<double>(b_features.size());
       if (nx + nb == 0.0) return;  // Same leaf for x and ref: no credit.
@@ -333,20 +277,24 @@ struct InterventionalWalker {
             1.0 / (nx * BinomialCoefficient(static_cast<int>(nx + nb),
                                             static_cast<int>(nb)));
         for (int f : x_features)
-          (*phi)[static_cast<size_t>(f)] += w_pos * nd.value;
+          (*phi)[static_cast<size_t>(f)] += w_pos * value;
       }
       if (!b_features.empty()) {
         const double w_neg =
             1.0 / (nb * BinomialCoefficient(static_cast<int>(nx + nb),
                                             static_cast<int>(nx)));
         for (int f : b_features)
-          (*phi)[static_cast<size_t>(f)] -= w_neg * nd.value;
+          (*phi)[static_cast<size_t>(f)] -= w_neg * value;
       }
       return;
     }
-    const size_t f = static_cast<size_t>(nd.feature);
-    const int x_child = x[f] <= nd.threshold ? nd.left : nd.right;
-    const int b_child = ref[f] <= nd.threshold ? nd.left : nd.right;
+    const int feature = ens.feature(node);
+    const size_t f = static_cast<size_t>(feature);
+    const double threshold = ens.threshold(node);
+    const int32_t x_child =
+        x[f] <= threshold ? ens.left(node) : ens.right(node);
+    const int32_t b_child =
+        ref[f] <= threshold ? ens.left(node) : ens.right(node);
     if (x_child == b_child) {
       Walk(x_child);  // Feature neutral at this node.
       return;
@@ -363,11 +311,11 @@ struct InterventionalWalker {
     }
     // Unseen: branch both ways, assigning the feature each side.
     assignment[f] = 1;
-    x_features.push_back(nd.feature);
+    x_features.push_back(feature);
     Walk(x_child);
     x_features.pop_back();
     assignment[f] = 2;
-    b_features.push_back(nd.feature);
+    b_features.push_back(feature);
     Walk(b_child);
     b_features.pop_back();
     assignment[f] = 0;
@@ -376,19 +324,20 @@ struct InterventionalWalker {
 
 }  // namespace
 
-void InterventionalTreeShap(const Tree& tree, const std::vector<double>& x,
+void InterventionalTreeShap(const FlatEnsemble& ensemble, size_t t,
+                            const std::vector<double>& x,
                             const std::vector<double>& reference,
                             std::vector<double>* phi) {
   XAI_OBS_COUNT("feature.tree_shap.interventional_walks");
-  InterventionalWalker walker{tree, x, reference, phi,
+  InterventionalWalker walker{ensemble, x, reference, phi,
                               std::vector<uint8_t>(x.size(), 0),
                               {},
                               {}};
-  walker.Walk(0);
+  walker.Walk(ensemble.root(t));
 }
 
 std::vector<double> InterventionalEnsembleShap(
-    const std::vector<Tree>& trees, double scale, size_t num_features,
+    const FlatEnsemble& ensemble, double scale, size_t num_features,
     const std::vector<double>& x, const Matrix& background,
     size_t max_background) {
   std::vector<double> phi(num_features, 0.0);
@@ -402,7 +351,8 @@ std::vector<double> InterventionalEnsembleShap(
     ref.assign(background.RowPtr(src),
                background.RowPtr(src) + background.cols());
     std::fill(phi_one.begin(), phi_one.end(), 0.0);
-    for (const Tree& t : trees) InterventionalTreeShap(t, x, ref, &phi_one);
+    for (size_t t = 0; t < ensemble.num_trees(); ++t)
+      InterventionalTreeShap(ensemble, t, x, ref, &phi_one);
     for (size_t j = 0; j < num_features; ++j) phi[j] += scale * phi_one[j];
     ++used;
   }

@@ -1,6 +1,7 @@
 #ifndef XAIDB_FEATURE_TREE_SHAP_H_
 #define XAIDB_FEATURE_TREE_SHAP_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -10,56 +11,39 @@
 #include "model/decision_tree.h"
 #include "model/flat_tree.h"
 #include "model/gbdt.h"
-#include "model/tree.h"
 
 namespace xai {
 
-/// Path-dependent TreeSHAP (Lundberg, Erion, Lee et al., Nature MI 2020):
-/// exact Shapley values of the tree's conditional-expectation game in
-/// O(L D^2) per instance instead of O(2^d) — the polynomial-time headline
-/// the tutorial highlights in Section 2.1.2 (experiments E1/E2).
+/// Path-dependent TreeSHAP (Lundberg, Erion, Lee et al., Nature MI 2020)
+/// for tree `t` of a compiled FlatEnsemble: exact Shapley values of the
+/// tree's conditional-expectation game in O(L D^2) per instance instead of
+/// O(2^d) — the polynomial-time headline the tutorial highlights in
+/// Section 2.1.2 (experiments E1/E2). Every node read (feature, threshold,
+/// children, cover, leaf value) is an index into the flat arrays, so
+/// prediction and explanation share one memory layout.
 ///
-/// `phi` receives one value per feature; the values satisfy
-///   sum(phi) = tree(x) - tree.ExpectedValue().
-///
-/// This node-object walker is the *reference* implementation; the serving
-/// path is FlatTreeShapValues below, which runs the same Extend/Unwind
-/// recursion over the compiled SoA arrays and is verified bit-identical.
-void TreeShapValues(const Tree& tree, const std::vector<double>& x,
-                    std::vector<double>* phi);
-
-/// Path-dependent TreeSHAP for tree `t` of a compiled FlatEnsemble: the
-/// identical Extend/Unwind path-weight recursion, but every node read
-/// (feature, threshold, children, cover, leaf value) is an index into the
-/// flat arrays — prediction and explanation share one memory layout.
-/// Bit-identical to TreeShapValues on the tree the ensemble was compiled
-/// from.
+/// Accumulates one value per feature into `phi`; the values satisfy
+///   sum(phi) = tree_t(x) - ensemble.expected_value(t).
 void FlatTreeShapValues(const FlatEnsemble& ensemble, size_t t,
                         const double* x, std::vector<double>* phi);
 
-/// SHAP values for an additive tree ensemble sum_t scale * tree_t(x) (+
-/// base). Returns one value per feature.
-std::vector<double> EnsembleTreeShap(const std::vector<Tree>& trees,
-                                     double scale, size_t num_features,
-                                     const std::vector<double>& x);
-
 /// The cover-weighted conditional-expectation game TreeSHAP solves:
-///   v(S) = E[tree(x) | x_S]  (descend on S-features, cover-average others).
-/// Exponential when fed to ExactShapley — used to verify TreeSHAP's
-/// exactness and to measure the exact-vs-polynomial runtime gap.
+///   v(S) = E[tree(x) | x_S]  (descend on S-features, cover-average others),
+/// summed as scale * v_t(S) over the trees of `ensemble`, which must
+/// outlive the game. Exponential when fed to ExactShapley — used to verify
+/// TreeSHAP's exactness and to measure the exact-vs-polynomial runtime gap.
 class TreePathGame : public CoalitionGame {
  public:
-  TreePathGame(const std::vector<Tree>& trees, double scale,
-               size_t num_features, std::vector<double> instance);
+  TreePathGame(const FlatEnsemble& ensemble, double scale,
+               std::vector<double> instance);
 
   size_t num_players() const override { return instance_.size(); }
   double Value(const std::vector<bool>& in_coalition) const override;
 
  private:
-  double NodeExpectation(const Tree& tree, int node,
-                         const std::vector<bool>& s) const;
+  double NodeExpectation(int32_t node, const std::vector<bool>& s) const;
 
-  const std::vector<Tree>& trees_;
+  const FlatEnsemble& ensemble_;
   double scale_;
   std::vector<double> instance_;
 };
@@ -112,16 +96,19 @@ std::vector<double> GlobalMeanAbsShap(TreeShapExplainer* explainer,
 /// closed-form Shapley contribution
 ///   +v * (|X|-1)! |B|! / (|X|+|B|)!  for i in X,
 ///   -v * |X)! (|B|-1)! / (|X|+|B|)!  for i in B.
-/// Accumulates into `phi`; sum(phi) = tree(x) - tree(reference).
-void InterventionalTreeShap(const Tree& tree, const std::vector<double>& x,
+/// Walks tree `t` of the compiled ensemble and accumulates into `phi`;
+/// sum(phi) = tree_t(x) - tree_t(reference).
+void InterventionalTreeShap(const FlatEnsemble& ensemble, size_t t,
+                            const std::vector<double>& x,
                             const std::vector<double>& reference,
                             std::vector<double>* phi);
 
-/// Interventional SHAP averaged over a background dataset for an additive
-/// ensemble: equals the exact Shapley values of MarginalFeatureGame over
-/// the same background (tests verify the equality).
+/// Interventional SHAP averaged over a background dataset for the additive
+/// ensemble sum_t scale * tree_t: equals the exact Shapley values of
+/// MarginalFeatureGame over the same background (tests verify the
+/// equality).
 std::vector<double> InterventionalEnsembleShap(
-    const std::vector<Tree>& trees, double scale, size_t num_features,
+    const FlatEnsemble& ensemble, double scale, size_t num_features,
     const std::vector<double>& x, const Matrix& background,
     size_t max_background = 100);
 

@@ -31,10 +31,12 @@ namespace xai {
 ///     several rows can be traversed as interleaved cursors to hide the
 ///     dependent-load latency.
 ///
-/// Routing decisions are the exact comparisons the node-based `Tree`
-/// performs, so every prediction (and every TreeSHAP cover ratio read off
-/// these arrays) is bit-identical to the pointer-chasing reference — the
-/// determinism contract the eval cache and coalescing service rely on.
+/// Routing decisions are the exact `<=` comparisons of a walk over the
+/// `Tree` nodes, so every prediction (and every TreeSHAP cover ratio read
+/// off these arrays) is bit-identical to the node-object reference walkers
+/// in tests/reference/ — the determinism contract the eval cache and
+/// coalescing service rely on. This is the only runtime for reading a
+/// fitted tree; `Tree` itself is build-time and wire-format only.
 ///
 /// `ExpectedValue` (the cover-weighted leaf average TreeSHAP attributes
 /// against) is computed once per tree at compile time instead of rescanned
@@ -83,7 +85,7 @@ class FlatEnsemble {
 
   /// Global index of the leaf row x lands in under tree t.
   int32_t Leaf(size_t t, const double* x) const;
-  /// Leaf value of tree t on row x (bit-identical to Tree::Predict).
+  /// Leaf value of tree t on row x.
   double PredictTree(size_t t, const double* x) const {
     return value_[static_cast<size_t>(Leaf(t, x))];
   }

@@ -91,8 +91,8 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
                                       rows_ptr, tree_rng_ptr);
       // Subsampled rounds update margins for *all* rows: compile the round
       // tree and run the branch-free flat accumulation (same leaf, same
-      // scale-and-add as the node walker, so exact-mode output is
-      // unchanged — just no longer the last consumer of the slow path).
+      // scale-and-add as a walk over the nodes, so exact-mode output is
+      // unchanged).
       const FlatEnsemble one = FlatEnsemble::Compile(tree);
       one.AccumulateTree(0, ds.x(), opts.learning_rate, &margin);
     }

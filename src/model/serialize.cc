@@ -1,5 +1,7 @@
 #include "model/serialize.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -17,20 +19,21 @@ Status OpenForWrite(const std::string& path, std::ofstream* out) {
   return Status::OK();
 }
 
-Result<std::ifstream> OpenForRead(const std::string& path,
-                                  const std::string& expected_type) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
+/// Opens `path` and reads the header every artifact starts with: the magic
+/// line, then `type <kind>`. Returns the kind and leaves `in` positioned at
+/// the kind's body.
+Result<std::string> OpenArtifact(const std::string& path, std::ifstream* in) {
+  in->open(path);
+  if (!*in) return Status::IOError("cannot open for read: " + path);
   std::string line;
-  if (!std::getline(in, line) || line != kMagic)
+  if (!std::getline(*in, line) || line != kMagic)
     return Status::InvalidArgument("bad magic in " + path);
   std::string kw;
   std::string type;
-  in >> kw >> type;
-  if (kw != "type" || type != expected_type)
-    return Status::InvalidArgument("expected type " + expected_type +
-                                   ", found " + type);
-  return in;
+  *in >> kw >> type;
+  if (kw != "type" || type.empty())
+    return Status::InvalidArgument("missing type in " + path);
+  return type;
 }
 
 void WriteTree(std::ofstream& out, const Tree& tree) {
@@ -41,22 +44,67 @@ void WriteTree(std::ofstream& out, const Tree& tree) {
   }
 }
 
-Result<Tree> ReadTree(std::ifstream& in) {
+/// Reads one tree block and checks that its node links form a tree before
+/// anything walks it: a corrupt link would otherwise send MaxDepth, the
+/// flat compile and every walker out of bounds or around a cycle. Both
+/// learners number nodes depth-first, so a child always follows its
+/// parent; requiring every child index to lie in (parent, n_nodes) and
+/// every node to have at most one parent rules out cycles and shared
+/// subtrees (whose walks grow exponentially).
+Result<Tree> ReadTree(std::istream& in, size_t num_features) {
   std::string kw;
   size_t n_nodes = 0;
   in >> kw >> n_nodes;
   if (kw != "tree" || !in)
     return Status::InvalidArgument("malformed tree header");
-  if (n_nodes > 10'000'000)
+  if (n_nodes == 0 || n_nodes > 10'000'000)
     return Status::InvalidArgument("implausible tree size");
+  // Grow with the nodes actually read, so a corrupt count cannot allocate
+  // hundreds of MiB before the body runs out.
   Tree tree;
-  tree.nodes.resize(n_nodes);
-  for (TreeNode& node : tree.nodes) {
+  tree.nodes.reserve(std::min<size_t>(n_nodes, 4096));
+  for (size_t k = 0; k < n_nodes; ++k) {
+    TreeNode node;
     in >> node.feature >> node.threshold >> node.left >> node.right >>
         node.value >> node.cover;
     if (!in) return Status::InvalidArgument("malformed tree node");
+    tree.nodes.push_back(node);
+  }
+  auto bad_node = [](size_t k, const char* what) {
+    return Status::InvalidArgument("tree node " + std::to_string(k) + ": " +
+                                   what);
+  };
+  std::vector<bool> has_parent(n_nodes, false);
+  for (size_t k = 0; k < n_nodes; ++k) {
+    const TreeNode& node = tree.nodes[k];
+    if (node.is_leaf()) {
+      if (node.feature != -1) return bad_node(k, "leaf feature must be -1");
+      continue;
+    }
+    if (static_cast<size_t>(node.feature) >= num_features)
+      return bad_node(k, "split feature out of range");
+    for (const int child : {node.left, node.right}) {
+      if (child <= static_cast<int64_t>(k) ||
+          static_cast<size_t>(child) >= n_nodes)
+        return bad_node(k, "child index out of range");
+      if (has_parent[static_cast<size_t>(child)])
+        return bad_node(k, "child already has a parent");
+      has_parent[static_cast<size_t>(child)] = true;
+    }
   }
   return tree;
+}
+
+/// Reads `num_trees` tree blocks.
+Result<std::vector<Tree>> ReadTrees(std::istream& in, size_t num_trees,
+                                    size_t num_features) {
+  std::vector<Tree> trees;
+  trees.reserve(num_trees);
+  for (size_t t = 0; t < num_trees; ++t) {
+    XAI_ASSIGN_OR_RETURN(Tree tree, ReadTree(in, num_features));
+    trees.push_back(std::move(tree));
+  }
+  return trees;
 }
 
 // Per-kind writers. The public entry point is the polymorphic
@@ -207,8 +255,17 @@ Result<std::string> ModelKindOf(const Model& model) {
       "model has no artifact form (not a built-in fitted model)");
 }
 
-Result<LinearRegression> LoadLinearRegression(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::ifstream in, OpenForRead(path, "linear"));
+namespace {
+
+// Per-kind readers: each parses one kind's body from a stream LoadAnyModel
+// has already opened and positioned past the header.
+
+template <typename M>
+Result<std::unique_ptr<Model>> Boxed(M model) {
+  return std::unique_ptr<Model>(new M(std::move(model)));
+}
+
+Result<std::unique_ptr<Model>> ReadLinear(std::istream& in) {
   std::string kw;
   double lambda = 0.0;
   double intercept = 0.0;
@@ -219,12 +276,11 @@ Result<LinearRegression> LoadLinearRegression(const std::string& path) {
   std::vector<double> weights(n);
   for (double& w : weights) in >> w;
   if (!in) return Status::InvalidArgument("malformed weights");
-  return LinearRegression::FromParameters(std::move(weights), intercept,
-                                          lambda);
+  return Boxed(LinearRegression::FromParameters(std::move(weights), intercept,
+                                                lambda));
 }
 
-Result<LogisticRegression> LoadLogisticRegression(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::ifstream in, OpenForRead(path, "logistic"));
+Result<std::unique_ptr<Model>> ReadLogistic(std::istream& in) {
   std::string kw;
   double lambda = 0.0;
   size_t n = 0;
@@ -234,11 +290,10 @@ Result<LogisticRegression> LoadLogisticRegression(const std::string& path) {
   std::vector<double> theta(n);
   for (double& t : theta) in >> t;
   if (!in) return Status::InvalidArgument("malformed theta");
-  return LogisticRegression::FromParameters(std::move(theta), lambda);
+  return Boxed(LogisticRegression::FromParameters(std::move(theta), lambda));
 }
 
-Result<GradientBoostedTrees> LoadGbdt(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::ifstream in, OpenForRead(path, "gbdt"));
+Result<std::unique_ptr<Model>> ReadGbdt(std::istream& in) {
   std::string kw;
   std::string loss_name;
   double base = 0.0;
@@ -249,48 +304,41 @@ Result<GradientBoostedTrees> LoadGbdt(const std::string& path) {
       kw >> num_trees;
   if (!in || num_trees > 1'000'000)
     return Status::InvalidArgument("malformed gbdt header");
-  std::vector<Tree> trees;
-  trees.reserve(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    XAI_ASSIGN_OR_RETURN(Tree tree, ReadTree(in));
-    trees.push_back(std::move(tree));
+  GbdtLoss loss = GbdtLoss::kLogistic;
+  if (loss_name == "squared") {
+    loss = GbdtLoss::kSquared;
+  } else if (loss_name != "logistic") {
+    return Status::InvalidArgument("unknown gbdt loss '" + loss_name + "'");
   }
-  const GbdtLoss loss =
-      loss_name == "logistic" ? GbdtLoss::kLogistic : GbdtLoss::kSquared;
-  return GradientBoostedTrees::FromParts(std::move(trees), base, lr, loss,
-                                         num_features);
+  XAI_ASSIGN_OR_RETURN(std::vector<Tree> trees,
+                       ReadTrees(in, num_trees, num_features));
+  return Boxed(GradientBoostedTrees::FromParts(std::move(trees), base, lr,
+                                               loss, num_features));
 }
 
-Result<DecisionTree> LoadDecisionTree(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::ifstream in, OpenForRead(path, "dtree"));
+Result<std::unique_ptr<Model>> ReadDtree(std::istream& in) {
   std::string kw;
   size_t num_features = 0;
   in >> kw >> num_features;
   if (!in || kw != "num_features")
     return Status::InvalidArgument("malformed dtree header");
-  XAI_ASSIGN_OR_RETURN(Tree tree, ReadTree(in));
-  return DecisionTree::FromParts(std::move(tree), num_features);
+  XAI_ASSIGN_OR_RETURN(Tree tree, ReadTree(in, num_features));
+  return Boxed(DecisionTree::FromParts(std::move(tree), num_features));
 }
 
-Result<RandomForest> LoadRandomForest(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::ifstream in, OpenForRead(path, "forest"));
+Result<std::unique_ptr<Model>> ReadForest(std::istream& in) {
   std::string kw;
   size_t num_features = 0;
   size_t num_trees = 0;
   in >> kw >> num_features >> kw >> num_trees;
   if (!in || num_trees == 0 || num_trees > 1'000'000)
     return Status::InvalidArgument("malformed forest header");
-  std::vector<Tree> trees;
-  trees.reserve(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    XAI_ASSIGN_OR_RETURN(Tree tree, ReadTree(in));
-    trees.push_back(std::move(tree));
-  }
-  return RandomForest::FromParts(std::move(trees), num_features);
+  XAI_ASSIGN_OR_RETURN(std::vector<Tree> trees,
+                       ReadTrees(in, num_trees, num_features));
+  return Boxed(RandomForest::FromParts(std::move(trees), num_features));
 }
 
-Result<KnnClassifier> LoadKnn(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::ifstream in, OpenForRead(path, "knn"));
+Result<std::unique_ptr<Model>> ReadKnn(std::istream& in) {
   std::string kw;
   int k = 0;
   size_t n = 0;
@@ -332,12 +380,11 @@ Result<KnnClassifier> LoadKnn(const std::string& path) {
   for (size_t i = 0; i < n; ++i)
     for (size_t j = 0; j < d; ++j) in >> x(i, j);
   if (!in) return Status::InvalidArgument("malformed knn rows");
-  return KnnClassifier::FromParts(
-      Dataset(Schema(std::move(specs)), std::move(x), std::move(y)), k);
+  return Boxed(KnnClassifier::FromParts(
+      Dataset(Schema(std::move(specs)), std::move(x), std::move(y)), k));
 }
 
-Result<MultinomialNaiveBayes> LoadNaiveBayes(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::ifstream in, OpenForRead(path, "nbayes"));
+Result<std::unique_ptr<Model>> ReadNaiveBayes(std::istream& in) {
   std::string kw;
   double prior = 0.0;
   size_t n = 0;
@@ -347,55 +394,28 @@ Result<MultinomialNaiveBayes> LoadNaiveBayes(const std::string& path) {
   std::vector<double> llr(n);
   for (double& v : llr) in >> v;
   if (!in) return Status::InvalidArgument("malformed llr");
-  return MultinomialNaiveBayes::FromParts(std::move(llr), prior);
+  return Boxed(MultinomialNaiveBayes::FromParts(std::move(llr), prior));
 }
 
+}  // namespace
+
 Result<std::unique_ptr<Model>> LoadAnyModel(const std::string& path) {
-  XAI_ASSIGN_OR_RETURN(std::string type, PeekModelType(path));
-  if (type == "linear") {
-    XAI_ASSIGN_OR_RETURN(LinearRegression m, LoadLinearRegression(path));
-    return std::unique_ptr<Model>(new LinearRegression(std::move(m)));
-  }
-  if (type == "logistic") {
-    XAI_ASSIGN_OR_RETURN(LogisticRegression m, LoadLogisticRegression(path));
-    return std::unique_ptr<Model>(new LogisticRegression(std::move(m)));
-  }
-  if (type == "gbdt") {
-    XAI_ASSIGN_OR_RETURN(GradientBoostedTrees m, LoadGbdt(path));
-    return std::unique_ptr<Model>(new GradientBoostedTrees(std::move(m)));
-  }
-  if (type == "dtree") {
-    XAI_ASSIGN_OR_RETURN(DecisionTree m, LoadDecisionTree(path));
-    return std::unique_ptr<Model>(new DecisionTree(std::move(m)));
-  }
-  if (type == "forest") {
-    XAI_ASSIGN_OR_RETURN(RandomForest m, LoadRandomForest(path));
-    return std::unique_ptr<Model>(new RandomForest(std::move(m)));
-  }
-  if (type == "knn") {
-    XAI_ASSIGN_OR_RETURN(KnnClassifier m, LoadKnn(path));
-    return std::unique_ptr<Model>(new KnnClassifier(std::move(m)));
-  }
-  if (type == "nbayes") {
-    XAI_ASSIGN_OR_RETURN(MultinomialNaiveBayes m, LoadNaiveBayes(path));
-    return std::unique_ptr<Model>(new MultinomialNaiveBayes(std::move(m)));
-  }
+  std::ifstream in;
+  XAI_ASSIGN_OR_RETURN(std::string type, OpenArtifact(path, &in));
+  if (type == "linear") return ReadLinear(in);
+  if (type == "logistic") return ReadLogistic(in);
+  if (type == "gbdt") return ReadGbdt(in);
+  if (type == "dtree") return ReadDtree(in);
+  if (type == "forest") return ReadForest(in);
+  if (type == "knn") return ReadKnn(in);
+  if (type == "nbayes") return ReadNaiveBayes(in);
   return Status::InvalidArgument("unknown model type '" + type + "' in " +
                                  path);
 }
 
 Result<std::string> PeekModelType(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic)
-    return Status::InvalidArgument("bad magic in " + path);
-  std::string kw;
-  std::string type;
-  in >> kw >> type;
-  if (kw != "type" || type.empty())
-    return Status::InvalidArgument("missing type in " + path);
-  return type;
+  std::ifstream in;
+  return OpenArtifact(path, &in);
 }
 
 }  // namespace xai

@@ -31,21 +31,13 @@ namespace xai {
 /// InvalidArgument.
 Status SaveModel(const Model& model, const std::string& path);
 
-/// Loads a saved artifact of any kind, dispatching on PeekModelType — the
-/// inverse of the polymorphic SaveModel above. The returned model is the
-/// exact concrete type that was saved (dynamic_cast recovers it).
+/// Loads a saved artifact of any kind — the inverse of the polymorphic
+/// SaveModel above. The returned model is the exact concrete type that was
+/// saved; callers that need that type's API (tree access, sufficient
+/// statistics, ...) recover it with dynamic_cast. A malformed artifact
+/// (bad header, truncated body, unknown loss, tree node links that do not
+/// form a tree, split features out of range) is InvalidArgument.
 Result<std::unique_ptr<Model>> LoadAnyModel(const std::string& path);
-
-/// Typed loaders, for callers that need the concrete type's API (tree
-/// access, sufficient statistics, ...). Each rejects artifacts of any
-/// other kind with InvalidArgument.
-Result<LinearRegression> LoadLinearRegression(const std::string& path);
-Result<LogisticRegression> LoadLogisticRegression(const std::string& path);
-Result<GradientBoostedTrees> LoadGbdt(const std::string& path);
-Result<DecisionTree> LoadDecisionTree(const std::string& path);
-Result<RandomForest> LoadRandomForest(const std::string& path);
-Result<KnnClassifier> LoadKnn(const std::string& path);
-Result<MultinomialNaiveBayes> LoadNaiveBayes(const std::string& path);
 
 /// The `type` field of a saved model file ("linear", "logistic", "gbdt",
 /// "dtree", "forest", "knn", "nbayes") without loading it — for dispatch.

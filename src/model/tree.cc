@@ -10,29 +10,6 @@
 
 namespace xai {
 
-double Tree::Predict(const std::vector<double>& x) const {
-  return nodes[LeafIndex(x)].value;
-}
-
-int Tree::LeafIndex(const std::vector<double>& x) const {
-  return LeafIndex(x.data());
-}
-
-int Tree::LeafIndex(const double* x) const {
-  int i = 0;
-  while (!nodes[i].is_leaf()) {
-    const TreeNode& n = nodes[i];
-    i = x[n.feature] <= n.threshold ? n.left : n.right;
-  }
-  return i;
-}
-
-void Tree::AccumulateBatch(const Matrix& x, double scale,
-                           std::vector<double>* out) const {
-  for (size_t i = 0; i < x.rows(); ++i)
-    (*out)[i] += scale * nodes[static_cast<size_t>(LeafIndex(x.RowPtr(i)))].value;
-}
-
 int Tree::MaxDepth() const {
   // Iterative DFS carrying depth.
   int max_depth = 0;

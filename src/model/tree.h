@@ -25,24 +25,14 @@ struct TreeNode {
 };
 
 /// A plain binary regression/score tree: nodes in a flat vector, node 0 is
-/// the root. This is the shared representation behind DecisionTree,
-/// RandomForest and GradientBoostedTrees, and the input to TreeShap.
+/// the root, every child numbered after its parent. This is what the
+/// learners build and what model artifacts store. Every read of a fitted
+/// tree (prediction, TreeSHAP, the explainers and valuations built on
+/// them) runs on the FlatEnsemble compiled from it (flat_tree.h); the
+/// node-walking versions survive only as test oracles (tests/reference/).
 struct Tree {
   std::vector<TreeNode> nodes;
 
-  double Predict(const std::vector<double>& x) const;
-  double Predict(const double* x) const { return nodes[LeafIndex(x)].value; }
-  /// Index of the leaf that x lands in.
-  int LeafIndex(const std::vector<double>& x) const;
-  int LeafIndex(const double* x) const;
-
-  /// out[i] += scale * Predict(row i) for every row of x, one LeafIndex
-  /// walk per row. This is the *node-based reference* traversal: serving
-  /// routes through the compiled FlatEnsemble (flat_tree.h) instead, and
-  /// the flat-vs-node equivalence tests and benches compare against this
-  /// path. GBDT training also uses it (trees aren't compiled mid-fit).
-  void AccumulateBatch(const Matrix& x, double scale,
-                       std::vector<double>* out) const;
   int MaxDepth() const;
   size_t NumLeaves() const;
 

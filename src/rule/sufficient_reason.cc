@@ -10,38 +10,37 @@ namespace {
 
 /// DFS over all leaves reachable when free features may take any value.
 /// Returns false as soon as a leaf with the opposite decision is found.
-bool AllReachableLeavesAgree(const Tree& tree, int node,
+bool AllReachableLeavesAgree(const FlatEnsemble& ens, int32_t node,
                              const std::vector<double>& x,
                              const std::vector<bool>& fixed, bool decision,
                              double threshold) {
-  const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-  if (nd.is_leaf()) return (nd.value >= threshold) == decision;
-  if (fixed[static_cast<size_t>(nd.feature)]) {
-    const int next = x[static_cast<size_t>(nd.feature)] <= nd.threshold
-                         ? nd.left
-                         : nd.right;
-    return AllReachableLeavesAgree(tree, next, x, fixed, decision,
-                                   threshold);
+  if (ens.is_leaf(node)) return (ens.value(node) >= threshold) == decision;
+  const size_t f = static_cast<size_t>(ens.feature(node));
+  if (fixed[f]) {
+    const int32_t next =
+        x[f] <= ens.threshold(node) ? ens.left(node) : ens.right(node);
+    return AllReachableLeavesAgree(ens, next, x, fixed, decision, threshold);
   }
-  return AllReachableLeavesAgree(tree, nd.left, x, fixed, decision,
+  return AllReachableLeavesAgree(ens, ens.left(node), x, fixed, decision,
                                  threshold) &&
-         AllReachableLeavesAgree(tree, nd.right, x, fixed, decision,
+         AllReachableLeavesAgree(ens, ens.right(node), x, fixed, decision,
                                  threshold);
 }
 
 }  // namespace
 
-bool IsSufficientForTree(const Tree& tree, const std::vector<double>& x,
+bool IsSufficientForTree(const DecisionTree& tree, const std::vector<double>& x,
                          const std::vector<size_t>& features,
                          double threshold) {
   const bool decision = tree.Predict(x) >= threshold;
   std::vector<bool> fixed(x.size(), false);
   for (size_t f : features) fixed[f] = true;
-  return AllReachableLeavesAgree(tree, 0, x, fixed, decision, threshold);
+  return AllReachableLeavesAgree(tree.flat(), tree.flat().root(0), x, fixed,
+                                 decision, threshold);
 }
 
 Result<SufficientReason> MinimalSufficientReason(
-    const Tree& tree, const std::vector<double>& x,
+    const DecisionTree& tree, const std::vector<double>& x,
     const SufficientReasonOptions& opts) {
   const size_t d = x.size();
   if (!opts.importance_hint.empty() && opts.importance_hint.size() != d)
@@ -61,8 +60,8 @@ Result<SufficientReason> MinimalSufficientReason(
   }
   for (size_t j : order) {
     fixed[j] = false;
-    if (!AllReachableLeavesAgree(tree, 0, x, fixed, decision,
-                                 opts.threshold)) {
+    if (!AllReachableLeavesAgree(tree.flat(), tree.flat().root(0), x, fixed,
+                                 decision, opts.threshold)) {
       fixed[j] = true;  // Needed: keep it.
     }
   }
@@ -74,7 +73,7 @@ Result<SufficientReason> MinimalSufficientReason(
 }
 
 std::vector<SufficientReason> EnumerateSufficientReasons(
-    const Tree& tree, const std::vector<double>& x, size_t max_size,
+    const DecisionTree& tree, const std::vector<double>& x, size_t max_size,
     double threshold) {
   const size_t d = x.size();
   std::vector<SufficientReason> out;

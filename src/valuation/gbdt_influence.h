@@ -1,6 +1,7 @@
 #ifndef XAIDB_VALUATION_GBDT_INFLUENCE_H_
 #define XAIDB_VALUATION_GBDT_INFLUENCE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -38,11 +39,12 @@ class GbdtLeafInfluence {
 
   const GradientBoostedTrees& model_;
   size_t n_;
-  // Per tree: leaf index of each training sample.
-  std::vector<std::vector<int>> sample_leaf_;
-  // Per tree: per node (leaves used) sums of gradients and hessians.
-  std::vector<std::vector<double>> leaf_g_;
-  std::vector<std::vector<double>> leaf_h_;
+  // Per tree: global FlatEnsemble index of each training sample's leaf.
+  std::vector<std::vector<int32_t>> sample_leaf_;
+  // Per flat node (leaves used): sums of the gradients and hessians of the
+  // training samples that landed there.
+  std::vector<double> leaf_g_;
+  std::vector<double> leaf_h_;
   // Per tree, per sample: its gradient/hessian at that round.
   std::vector<std::vector<double>> sample_g_;
   std::vector<std::vector<double>> sample_h_;

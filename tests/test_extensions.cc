@@ -79,7 +79,7 @@ TEST(ShapleyInteractions, RowsSumToShapleyAndTotalToEfficiency) {
 
 // ---------------- Sufficient reasons ----------------
 
-Tree AndTree() {
+DecisionTree AndTree() {
   // f = 1 iff x0 > 0.5 and x1 > 0.5 (features 0, 1; feature 2 unused).
   Tree t;
   t.nodes.resize(5);
@@ -88,11 +88,11 @@ Tree AndTree() {
   t.nodes[2] = {1, 0.5, 3, 4, 0.5, 50};    // split x1
   t.nodes[3] = {-1, 0, -1, -1, 0.0, 25};   // x1 <= .5 -> 0
   t.nodes[4] = {-1, 0, -1, -1, 1.0, 25};   // -> 1
-  return t;
+  return DecisionTree::FromParts(std::move(t), 3);
 }
 
 TEST(SufficientReason, AndFunctionPositiveNeedsBoth) {
-  Tree t = AndTree();
+  const DecisionTree t = AndTree();
   const std::vector<double> x = {1.0, 1.0, 7.0};
   EXPECT_TRUE(IsSufficientForTree(t, x, {0, 1}));
   EXPECT_FALSE(IsSufficientForTree(t, x, {0}));
@@ -105,7 +105,7 @@ TEST(SufficientReason, AndFunctionPositiveNeedsBoth) {
 }
 
 TEST(SufficientReason, AndFunctionNegativeNeedsOne) {
-  Tree t = AndTree();
+  const DecisionTree t = AndTree();
   const std::vector<double> x = {0.0, 1.0, 7.0};  // x0 low -> 0.
   auto reason = MinimalSufficientReason(t, x);
   ASSERT_TRUE(reason.ok());
@@ -115,7 +115,7 @@ TEST(SufficientReason, AndFunctionNegativeNeedsOne) {
 }
 
 TEST(SufficientReason, EnumerationFindsAllPrimeImplicants) {
-  Tree t = AndTree();
+  const DecisionTree t = AndTree();
   // Both low: either feature alone is a sufficient reason for 0.
   const std::vector<double> x = {0.0, 0.0, 7.0};
   auto reasons = EnumerateSufficientReasons(t, x, 2);
@@ -133,7 +133,7 @@ TEST(SufficientReason, SufficiencyIsSoundOnLearnedTree) {
   Rng rng(5);
   for (size_t i = 0; i < 10; ++i) {
     const std::vector<double> x = ds.row(i);
-    auto reason = MinimalSufficientReason(tree->tree(), x);
+    auto reason = MinimalSufficientReason(*tree, x);
     ASSERT_TRUE(reason.ok());
     std::vector<bool> fixed(ds.d(), false);
     for (size_t f : reason->features) fixed[f] = true;
@@ -150,7 +150,7 @@ TEST(SufficientReason, SufficiencyIsSoundOnLearnedTree) {
       std::vector<size_t> smaller;
       for (size_t g : reason->features)
         if (g != f) smaller.push_back(g);
-      EXPECT_FALSE(IsSufficientForTree(tree->tree(), x, smaller))
+      EXPECT_FALSE(IsSufficientForTree(*tree, x, smaller))
           << "reason not minimal at row " << i;
     }
   }
@@ -339,8 +339,9 @@ TEST(Unlearning, LeafStatisticsMatchRefitWhenStructureStable) {
   ASSERT_TRUE(refit.ok());
   // Same split feature and (nearly) same leaf values.
   EXPECT_EQ(unlearned.nodes[0].feature, refit->tree().nodes[0].feature);
-  EXPECT_NEAR(unlearned.Predict({10.5}), refit->Predict({10.5}), 1e-9);
-  EXPECT_NEAR(unlearned.Predict({-10.5}), refit->Predict({-10.5}), 1e-9);
+  const DecisionTree served = DecisionTree::FromParts(unlearned, 1);
+  EXPECT_NEAR(served.Predict({10.5}), refit->Predict({10.5}), 1e-9);
+  EXPECT_NEAR(served.Predict({-10.5}), refit->Predict({-10.5}), 1e-9);
   EXPECT_DOUBLE_EQ(unlearned.nodes[0].cover, 199.0);
 }
 

@@ -2,10 +2,10 @@
 // (label: flat, runs in the TSan CI job).
 //
 // The contract under test: every prediction and every TreeSHAP value
-// produced off the flat SoA arrays is the SAME DOUBLE as the node-based
-// Tree reference — for degenerate single-leaf trees, rows sitting exactly
-// on a split threshold, deep trees, any thread count, and across a
-// serialize -> load -> recompile round trip.
+// produced off the flat SoA arrays is the SAME DOUBLE as the node-object
+// reference walkers (tests/reference/) — for degenerate single-leaf
+// trees, rows sitting exactly on a split threshold, deep trees, any thread
+// count, and across a serialize -> load -> recompile round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "model/flat_tree.h"
 #include "model/gbdt.h"
 #include "model/serialize.h"
+#include "reference/tree_walkers.h"
 
 namespace xai {
 namespace {
@@ -31,7 +32,7 @@ std::vector<double> NodeMarginBatch(const GradientBoostedTrees& gbdt,
                                     const Matrix& x) {
   std::vector<double> out(x.rows(), gbdt.base_score());
   for (const Tree& t : gbdt.trees())
-    t.AccumulateBatch(x, gbdt.learning_rate(), &out);
+    reference::AccumulateBatch(t, x, gbdt.learning_rate(), &out);
   return out;
 }
 
@@ -59,10 +60,11 @@ TEST(FlatTree, ForestAndDtreeFlatMatchNodeReferenceExactly) {
   const std::vector<double> dtree_flat = dtree->PredictBatch(ds.x());
   for (size_t i = 0; i < ds.n(); ++i) {
     double node_sum = 0.0;
-    for (const Tree& t : forest->trees()) node_sum += t.Predict(ds.row(i));
+    for (const Tree& t : forest->trees())
+      node_sum += reference::Predict(t, ds.row(i));
     EXPECT_EQ(forest_flat[i],
               node_sum / static_cast<double>(forest->trees().size()));
-    EXPECT_EQ(dtree_flat[i], dtree->tree().Predict(ds.row(i)));
+    EXPECT_EQ(dtree_flat[i], reference::Predict(dtree->tree(), ds.row(i)));
   }
 }
 
@@ -148,7 +150,8 @@ TEST(FlatTree, DeepTreeEquivalenceOnRandomRows) {
   }
   const std::vector<double> flat = dtree->PredictBatch(probes);
   for (size_t i = 0; i < probes.rows(); ++i)
-    EXPECT_EQ(flat[i], dtree->tree().Predict(probes.Row(i))) << "row " << i;
+    EXPECT_EQ(flat[i], reference::Predict(dtree->tree(), probes.Row(i)))
+        << "row " << i;
 }
 
 TEST(FlatTree, ExpectedValuePrecomputedBitExact) {
@@ -172,7 +175,7 @@ TEST(FlatTree, FlatTreeShapMatchesNodeWalkerBitExact) {
     for (size_t t = 0; t < flat.num_trees(); ++t) {
       std::vector<double> node_phi(ds.d(), 0.0);
       std::vector<double> flat_phi(ds.d(), 0.0);
-      TreeShapValues(gbdt->trees()[t], x, &node_phi);
+      reference::TreeShapValues(gbdt->trees()[t], x, &node_phi);
       FlatTreeShapValues(flat, t, x.data(), &flat_phi);
       for (size_t j = 0; j < ds.d(); ++j)
         EXPECT_EQ(flat_phi[j], node_phi[j]) << "row " << i << " tree " << t;
@@ -185,11 +188,11 @@ TEST(FlatTree, FlatTreeShapMatchesNodeWalkerBitExact) {
     const std::vector<double> x = ds.row(i);
     auto attr = explainer.Explain(x);
     ASSERT_TRUE(attr.ok());
-    const std::vector<double> reference =
-        EnsembleTreeShap(gbdt->trees(), gbdt->learning_rate(), ds.d(), x);
+    const std::vector<double> node = reference::EnsembleTreeShap(
+        gbdt->trees(), gbdt->learning_rate(), ds.d(), x);
     double sum = 0.0;
     for (size_t j = 0; j < ds.d(); ++j) {
-      EXPECT_EQ(attr->values[j], reference[j]) << "row " << i;
+      EXPECT_EQ(attr->values[j], node[j]) << "row " << i;
       sum += attr->values[j];
     }
     EXPECT_NEAR(sum, gbdt->PredictMargin(x) - attr->base_value, 1e-9);
@@ -245,8 +248,10 @@ TEST(FlatTree, SerializeLoadCompileRoundTrip) {
   ASSERT_TRUE(gbdt.ok());
   const std::string path = "/tmp/xai_flat_roundtrip_gbdt.txt";
   ASSERT_TRUE(SaveModel(*gbdt, path).ok());
-  auto loaded = LoadGbdt(path);
-  ASSERT_TRUE(loaded.ok());
+  auto any = LoadAnyModel(path);
+  ASSERT_TRUE(any.ok());
+  const auto* loaded = dynamic_cast<const GradientBoostedTrees*>(any->get());
+  ASSERT_NE(loaded, nullptr);
   // The loaded model recompiled its own FlatEnsemble; every flat
   // prediction and explanation must match the original's.
   EXPECT_EQ(loaded->flat().num_trees(), gbdt->flat().num_trees());
@@ -280,8 +285,10 @@ TEST(FlatTree, ForestAndDtreeSerializationRoundTrip) {
   const std::string fpath = "/tmp/xai_flat_roundtrip_forest.txt";
   ASSERT_TRUE(SaveModel(*forest, fpath).ok());
   EXPECT_EQ(*PeekModelType(fpath), "forest");
-  auto floaded = LoadRandomForest(fpath);
-  ASSERT_TRUE(floaded.ok());
+  auto fany = LoadAnyModel(fpath);
+  ASSERT_TRUE(fany.ok());
+  const auto* floaded = dynamic_cast<const RandomForest*>(fany->get());
+  ASSERT_NE(floaded, nullptr);
   const std::vector<double> fa = forest->PredictBatch(ds.x());
   const std::vector<double> fb = floaded->PredictBatch(ds.x());
   for (size_t i = 0; i < ds.n(); ++i) EXPECT_EQ(fa[i], fb[i]);
@@ -289,15 +296,17 @@ TEST(FlatTree, ForestAndDtreeSerializationRoundTrip) {
   const std::string dpath = "/tmp/xai_flat_roundtrip_dtree.txt";
   ASSERT_TRUE(SaveModel(*dtree, dpath).ok());
   EXPECT_EQ(*PeekModelType(dpath), "dtree");
-  auto dloaded = LoadDecisionTree(dpath);
-  ASSERT_TRUE(dloaded.ok());
+  auto dany = LoadAnyModel(dpath);
+  ASSERT_TRUE(dany.ok());
+  const auto* dloaded = dynamic_cast<const DecisionTree*>(dany->get());
+  ASSERT_NE(dloaded, nullptr);
   const std::vector<double> da = dtree->PredictBatch(ds.x());
   const std::vector<double> db = dloaded->PredictBatch(ds.x());
   for (size_t i = 0; i < ds.n(); ++i) EXPECT_EQ(da[i], db[i]);
 
-  // Cross-type load is rejected.
-  EXPECT_FALSE(LoadRandomForest(dpath).ok());
-  EXPECT_FALSE(LoadDecisionTree(fpath).ok());
+  // Each artifact loads as its own kind, never as the other.
+  EXPECT_EQ(dynamic_cast<const RandomForest*>(dany->get()), nullptr);
+  EXPECT_EQ(dynamic_cast<const DecisionTree*>(fany->get()), nullptr);
   std::remove(fpath.c_str());
   std::remove(dpath.c_str());
 }

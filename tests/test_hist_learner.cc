@@ -19,6 +19,7 @@
 #include "model/hist_learner.h"
 #include "model/metrics.h"
 #include "model/tree.h"
+#include "reference/tree_walkers.h"
 
 namespace xai {
 namespace {
@@ -220,7 +221,8 @@ TEST(HistLearner, IdenticalStructureOnMultiFeatureIntegerData) {
   ASSERT_GT(exact.nodes.size(), 10u);
   ExpectIdenticalTrees(exact, hist, /*compare_thresholds=*/false);
   for (size_t i = 0; i < ds.n(); ++i) {
-    EXPECT_EQ(exact.Predict(ds.x().RowPtr(i)), hist.Predict(ds.x().RowPtr(i)))
+    EXPECT_EQ(reference::Predict(exact, ds.x().RowPtr(i)),
+              reference::Predict(hist, ds.x().RowPtr(i)))
         << "row " << i;
   }
 }
@@ -240,8 +242,8 @@ TEST(HistLearner, HessianWeightedParityWithinEpsilon) {
       FitRegressionTreeHist(*binned, ds.y(), HistConfig(4, 5), &hess);
   ASSERT_EQ(exact.nodes.size(), hist.nodes.size());
   for (size_t i = 0; i < ds.n(); ++i) {
-    EXPECT_NEAR(exact.Predict(ds.x().RowPtr(i)), hist.Predict(ds.x().RowPtr(i)),
-                1e-9);
+    EXPECT_NEAR(reference::Predict(exact, ds.x().RowPtr(i)),
+                reference::Predict(hist, ds.x().RowPtr(i)), 1e-9);
   }
 }
 
@@ -402,7 +404,8 @@ TEST(HistLearner, WideU16FeaturesTrainCorrectly) {
   // The label rule is recoverable: training error should be near zero.
   size_t errors = 0;
   for (size_t i = 0; i < n; ++i)
-    if ((tree.Predict(x.RowPtr(i)) >= 0.5) != (y[i] >= 0.5)) ++errors;
+    if ((reference::Predict(tree, x.RowPtr(i)) >= 0.5) != (y[i] >= 0.5))
+      ++errors;
   EXPECT_LT(static_cast<double>(errors) / static_cast<double>(n), 0.02);
 }
 
@@ -421,7 +424,8 @@ TEST(HistLearner, LeafOfRowMatchesTreeTraversal) {
   ASSERT_EQ(leaf_of_row.size(), ds.n());
   for (size_t i = 0; i < ds.n(); ++i) {
     ASSERT_GE(leaf_of_row[i], 0);
-    EXPECT_EQ(leaf_of_row[i], tree.LeafIndex(ds.x().RowPtr(i))) << "row " << i;
+    EXPECT_EQ(leaf_of_row[i], reference::LeafIndex(tree, ds.x().RowPtr(i)))
+        << "row " << i;
   }
 }
 

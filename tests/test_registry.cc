@@ -150,8 +150,10 @@ TEST(Artifact, KnnRoundTripKeepsSchemaAndValuation) {
   ASSERT_TRUE(m.ok());
   const std::string path = dir + "/knn.model";
   ASSERT_TRUE(SaveModel(*m, path).ok());
-  auto loaded = LoadKnn(path);
-  ASSERT_TRUE(loaded.ok());
+  auto any = LoadAnyModel(path);
+  ASSERT_TRUE(any.ok());
+  const auto* loaded = dynamic_cast<const KnnClassifier*>(any->get());
+  ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->k(), m->k());
   ASSERT_EQ(loaded->train().n(), m->train().n());
   ASSERT_EQ(loaded->train().schema().num_features(),
