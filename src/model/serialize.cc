@@ -44,6 +44,21 @@ void WriteTree(std::ofstream& out, const Tree& tree) {
   }
 }
 
+/// The most whitespace-separated numbers the rest of `in` can hold: each
+/// takes at least one character and one separator, so n of them need at
+/// least 2n - 1 bytes. Readers check every header count against it before
+/// the count sizes an allocation, so a short artifact claiming a huge body
+/// is rejected instead of allocating for it.
+size_t MaxNumbersLeft(std::istream& in) {
+  const std::streampos pos = in.tellg();
+  if (pos < 0) return 0;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(pos);
+  if (end < pos) return 0;
+  return (static_cast<size_t>(end - pos) + 1) / 2;
+}
+
 /// Reads one tree block and checks that its node links form a tree before
 /// anything walks it: a corrupt link would otherwise send MaxDepth, the
 /// flat compile and every walker out of bounds or around a cycle. Both
@@ -98,6 +113,8 @@ Result<Tree> ReadTree(std::istream& in, size_t num_features) {
 /// Reads `num_trees` tree blocks.
 Result<std::vector<Tree>> ReadTrees(std::istream& in, size_t num_trees,
                                     size_t num_features) {
+  if (num_trees > MaxNumbersLeft(in))
+    return Status::InvalidArgument("tree count exceeds the artifact");
   std::vector<Tree> trees;
   trees.reserve(num_trees);
   for (size_t t = 0; t < num_trees; ++t) {
@@ -271,7 +288,7 @@ Result<std::unique_ptr<Model>> ReadLinear(std::istream& in) {
   double intercept = 0.0;
   size_t n = 0;
   in >> kw >> lambda >> kw >> intercept >> kw >> n;
-  if (!in || n > 10'000'000)
+  if (!in || n > 10'000'000 || n > MaxNumbersLeft(in))
     return Status::InvalidArgument("malformed linear model");
   std::vector<double> weights(n);
   for (double& w : weights) in >> w;
@@ -285,7 +302,7 @@ Result<std::unique_ptr<Model>> ReadLogistic(std::istream& in) {
   double lambda = 0.0;
   size_t n = 0;
   in >> kw >> lambda >> kw >> n;
-  if (!in || n == 0 || n > 10'000'000)
+  if (!in || n == 0 || n > 10'000'000 || n > MaxNumbersLeft(in))
     return Status::InvalidArgument("malformed logistic model");
   std::vector<double> theta(n);
   for (double& t : theta) in >> t;
@@ -346,8 +363,11 @@ Result<std::unique_ptr<Model>> ReadKnn(std::istream& in) {
   size_t n_specs = 0;
   in >> kw >> k >> kw >> n >> kw >> d >> kw >> n_specs;
   if (!in || k <= 0 || n == 0 || n > 10'000'000 || d > 1'000'000 ||
-      n_specs > 1'000'000)
+      n_specs > 1'000'000 || n_specs > MaxNumbersLeft(in))
     return Status::InvalidArgument("malformed knn header");
+  // The body holds n labels and n * d features: n * (d + 1) numbers.
+  if (n > MaxNumbersLeft(in) / (d + 1))
+    return Status::InvalidArgument("knn row count exceeds the artifact");
   std::vector<FeatureSpec> specs;
   specs.reserve(n_specs);
   for (size_t j = 0; j < n_specs; ++j) {
@@ -360,7 +380,7 @@ Result<std::unique_ptr<Model>> ReadKnn(std::istream& in) {
     } else if (tag == "cat") {
       size_t n_cats = 0;
       in >> n_cats;
-      if (!in || n_cats > 1'000'000)
+      if (!in || n_cats > 1'000'000 || n_cats > MaxNumbersLeft(in))
         return Status::InvalidArgument("malformed knn schema");
       std::vector<std::string> cats(n_cats);
       for (std::string& cat : cats) in >> cat;
@@ -389,7 +409,7 @@ Result<std::unique_ptr<Model>> ReadNaiveBayes(std::istream& in) {
   double prior = 0.0;
   size_t n = 0;
   in >> kw >> prior >> kw >> n;
-  if (!in || n == 0 || n > 10'000'000)
+  if (!in || n == 0 || n > 10'000'000 || n > MaxNumbersLeft(in))
     return Status::InvalidArgument("malformed nbayes model");
   std::vector<double> llr(n);
   for (double& v : llr) in >> v;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -164,39 +165,184 @@ TEST(FlatTree, ExpectedValuePrecomputedBitExact) {
     EXPECT_EQ(flat.expected_value(t), gbdt->trees()[t].ExpectedValue());
 }
 
-TEST(FlatTree, FlatTreeShapMatchesNodeWalkerBitExact) {
-  Dataset ds = MakeLoanDataset(500);
-  auto gbdt = GradientBoostedTrees::Fit(
-      ds, {.num_rounds = 25, .tree = {.max_depth = 4, .min_samples_leaf = 4}});
-  ASSERT_TRUE(gbdt.ok());
-  const FlatEnsemble& flat = gbdt->flat();
-  for (size_t i = 0; i < 40; ++i) {
-    const std::vector<double> x = ds.row(i);
-    for (size_t t = 0; t < flat.num_trees(); ++t) {
-      std::vector<double> node_phi(ds.d(), 0.0);
-      std::vector<double> flat_phi(ds.d(), 0.0);
-      reference::TreeShapValues(gbdt->trees()[t], x, &node_phi);
+/// `plain` dataset rows, then up to `planted` rows with one split
+/// threshold of `trees` planted into its feature (x == threshold must go
+/// left everywhere), spread over the ensemble's internal nodes.
+Matrix ProbeRows(const Dataset& ds, const std::vector<Tree>& trees,
+                 size_t plain, size_t planted) {
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < plain; ++i) rows.push_back(ds.row(i));
+  std::vector<const TreeNode*> splits;
+  for (const Tree& t : trees)
+    for (const TreeNode& n : t.nodes)
+      if (!n.is_leaf()) splits.push_back(&n);
+  const size_t stride =
+      std::max<size_t>(1, splits.size() / std::max<size_t>(1, planted));
+  Rng rng(123);
+  for (size_t k = 0; k < splits.size() && rows.size() < plain + planted;
+       k += stride) {
+    std::vector<double> row = ds.row(static_cast<size_t>(rng.NextInt(ds.n())));
+    row[static_cast<size_t>(splits[k]->feature)] = splits[k]->threshold;
+    rows.push_back(std::move(row));
+  }
+  Matrix m(rows.size(), ds.d());
+  for (size_t i = 0; i < rows.size(); ++i) m.SetRow(i, rows[i]);
+  return m;
+}
+
+/// Explain, ExplainBatch and per-tree FlatTreeShapValues against the node
+/// reference on every row, EXPECT_EQ throughout. base_value and prediction
+/// must be the formula base + sum_t scale * (tree_t(x) - E[tree_t]),
+/// accumulated in tree order.
+void ExpectShapMatchesReference(const std::string& label,
+                                const std::vector<Tree>& trees,
+                                const FlatEnsemble& flat, double scale,
+                                double base, TreeShapExplainer* explainer,
+                                const Matrix& rows) {
+  const size_t d = rows.cols();
+  auto batch = explainer->ExplainBatch(rows);
+  ASSERT_TRUE(batch.ok()) << label;
+  ASSERT_EQ(batch->size(), rows.rows()) << label;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    const std::vector<double> x = rows.Row(i);
+    const std::vector<double> node =
+        reference::EnsembleTreeShap(trees, scale, d, x);
+    double margin = base;
+    for (const Tree& t : trees)
+      margin += scale * (reference::Predict(t, x) - t.ExpectedValue());
+    auto single = explainer->Explain(x);
+    ASSERT_TRUE(single.ok()) << label;
+    for (const FeatureAttribution* a : {&*single, &(*batch)[i]}) {
+      EXPECT_EQ(a->base_value, base) << label << " row " << i;
+      EXPECT_EQ(a->prediction, margin) << label << " row " << i;
+      for (size_t j = 0; j < d; ++j)
+        EXPECT_EQ(a->values[j], node[j]) << label << " row " << i;
+    }
+    for (size_t t = 0; t < trees.size(); ++t) {
+      std::vector<double> node_phi(d, 0.0);
+      std::vector<double> flat_phi(d, 0.0);
+      reference::TreeShapValues(trees[t], x, &node_phi);
       FlatTreeShapValues(flat, t, x.data(), &flat_phi);
-      for (size_t j = 0; j < ds.d(); ++j)
-        EXPECT_EQ(flat_phi[j], node_phi[j]) << "row " << i << " tree " << t;
+      for (size_t j = 0; j < d; ++j)
+        EXPECT_EQ(flat_phi[j], node_phi[j])
+            << label << " row " << i << " tree " << t;
     }
   }
-  // The explainer facade (flat path) against the node-based ensemble
-  // reference, plus local accuracy against the flat margin.
-  TreeShapExplainer explainer(*gbdt, ds.schema());
-  for (size_t i = 0; i < 40; ++i) {
-    const std::vector<double> x = ds.row(i);
-    auto attr = explainer.Explain(x);
-    ASSERT_TRUE(attr.ok());
-    const std::vector<double> node = reference::EnsembleTreeShap(
-        gbdt->trees(), gbdt->learning_rate(), ds.d(), x);
-    double sum = 0.0;
-    for (size_t j = 0; j < ds.d(); ++j) {
-      EXPECT_EQ(attr->values[j], node[j]) << "row " << i;
-      sum += attr->values[j];
+}
+
+double GbdtBase(const GradientBoostedTrees& gbdt) {
+  double base = gbdt.base_score();
+  for (const Tree& t : gbdt.trees())
+    base += gbdt.learning_rate() * t.ExpectedValue();
+  return base;
+}
+
+TEST(FlatTree, FlatTreeShapMatchesNodeWalkerBitExact) {
+  // Leaf tables (small trees) and the path recursion (trees past the
+  // table budget) must both give the node walker's doubles. Each case
+  // asserts which of the two it runs.
+  Dataset loan = MakeLoanDataset(500);
+  for (int depth : {4, 6}) {
+    auto gbdt = GradientBoostedTrees::Fit(
+        loan, {.num_rounds = 25,
+               .tree = {.max_depth = depth, .min_samples_leaf = 4}});
+    ASSERT_TRUE(gbdt.ok());
+    TreeShapExplainer explainer(*gbdt, loan.schema());
+    EXPECT_EQ(explainer.tabulated_trees(), gbdt->trees().size());
+    EXPECT_GT(explainer.table_bytes(), 0u);
+    ExpectShapMatchesReference(
+        "logistic gbdt depth " + std::to_string(depth), gbdt->trees(),
+        gbdt->flat(), gbdt->learning_rate(), GbdtBase(*gbdt), &explainer,
+        ProbeRows(loan, gbdt->trees(), 40, 40));
+    // Local accuracy against the flat margin.
+    for (size_t i = 0; i < 40; ++i) {
+      auto attr = explainer.Explain(loan.row(i));
+      ASSERT_TRUE(attr.ok());
+      double sum = 0.0;
+      for (double v : attr->values) sum += v;
+      EXPECT_NEAR(sum, gbdt->PredictMargin(loan.row(i)) - attr->base_value,
+                  1e-9);
     }
-    EXPECT_NEAR(sum, gbdt->PredictMargin(x) - attr->base_value, 1e-9);
   }
+
+  Dataset gauss = MakeGaussianDataset(800, {.seed = 4, .dims = 5});
+  auto squared = GradientBoostedTrees::Fit(
+      gauss, {.loss = GbdtLoss::kSquared, .num_rounds = 15,
+              .tree = {.max_depth = 5, .min_samples_leaf = 3}});
+  ASSERT_TRUE(squared.ok());
+  TreeShapExplainer squared_shap(*squared, gauss.schema());
+  EXPECT_EQ(squared_shap.tabulated_trees(), squared->trees().size());
+  ExpectShapMatchesReference("squared gbdt", squared->trees(),
+                             squared->flat(), squared->learning_rate(),
+                             GbdtBase(*squared), &squared_shap,
+                             ProbeRows(gauss, squared->trees(), 30, 30));
+
+  Dataset credit = MakeCreditDataset(400);
+  auto forest = RandomForest::Fit(credit, {.num_trees = 12});
+  ASSERT_TRUE(forest.ok());
+  TreeShapExplainer forest_shap(*forest, credit.schema());
+  EXPECT_EQ(forest_shap.tabulated_trees(), forest->trees().size());
+  const double forest_scale = 1.0 / static_cast<double>(forest->trees().size());
+  double forest_base = 0.0;
+  for (const Tree& t : forest->trees())
+    forest_base += forest_scale * t.ExpectedValue();
+  ExpectShapMatchesReference("forest", forest->trees(), forest->flat(),
+                             forest_scale, forest_base, &forest_shap,
+                             ProbeRows(credit, forest->trees(), 30, 30));
+
+  auto dtree = DecisionTree::Fit(credit, {.max_depth = 7,
+                                          .min_samples_leaf = 2});
+  ASSERT_TRUE(dtree.ok());
+  TreeShapExplainer dtree_shap(*dtree, credit.schema());
+  EXPECT_EQ(dtree_shap.tabulated_trees(), 1u);
+  ExpectShapMatchesReference("dtree", {dtree->tree()}, dtree->flat(), 1.0,
+                             dtree->tree().ExpectedValue(), &dtree_shap,
+                             ProbeRows(credit, {dtree->tree()}, 30, 30));
+
+  // Deep trees on 6 features: paths repeat features, so Unwind runs. The
+  // 20 trees outgrow the table budget together, so one explainer runs
+  // tables for the first trees and the recursion for the rest.
+  Dataset six = MakeGaussianDataset(1500, {.seed = 9, .dims = 6});
+  auto deep_forest = RandomForest::Fit(
+      six, {.num_trees = 20, .tree = {.max_depth = 9, .min_samples_leaf = 1}});
+  ASSERT_TRUE(deep_forest.ok());
+  ASSERT_GE(deep_forest->flat().depth(0), 8);
+  TreeShapExplainer deep_forest_shap(*deep_forest, six.schema());
+  EXPECT_GT(deep_forest_shap.tabulated_trees(), 0u);
+  EXPECT_LT(deep_forest_shap.tabulated_trees(), deep_forest->trees().size());
+  const double deep_scale =
+      1.0 / static_cast<double>(deep_forest->trees().size());
+  double deep_base = 0.0;
+  for (const Tree& t : deep_forest->trees())
+    deep_base += deep_scale * t.ExpectedValue();
+  ExpectShapMatchesReference("forest depth 9 on 6 features",
+                             deep_forest->trees(), deep_forest->flat(),
+                             deep_scale, deep_base, &deep_forest_shap,
+                             ProbeRows(six, deep_forest->trees(), 20, 20));
+
+  // The depth-14 tree of DeepTreeEquivalenceOnRandomRows cannot fit the
+  // budget: the recursion explains it.
+  auto deep = DecisionTree::Fit(six, {.max_depth = 14, .min_samples_leaf = 1});
+  ASSERT_TRUE(deep.ok());
+  ASSERT_GE(deep->tree().MaxDepth(), 10);
+  TreeShapExplainer deep_shap(*deep, six.schema());
+  EXPECT_EQ(deep_shap.tabulated_trees(), 0u);
+  EXPECT_EQ(deep_shap.table_bytes(), 0u);
+  ExpectShapMatchesReference("dtree depth 14", {deep->tree()}, deep->flat(),
+                             1.0, deep->tree().ExpectedValue(), &deep_shap,
+                             ProbeRows(six, {deep->tree()}, 30, 30));
+
+  // A single-leaf tree: a one-row table with no features.
+  Tree leaf_only;
+  leaf_only.nodes.resize(1);
+  leaf_only.nodes[0] = {.feature = -1, .threshold = 0.0, .left = -1,
+                        .right = -1, .value = 3.25, .cover = 7.0};
+  const DecisionTree constant = DecisionTree::FromParts(leaf_only, six.d());
+  TreeShapExplainer constant_shap(constant, six.schema());
+  EXPECT_EQ(constant_shap.tabulated_trees(), 1u);
+  ExpectShapMatchesReference("single leaf", {leaf_only}, constant.flat(), 1.0,
+                             3.25, &constant_shap,
+                             ProbeRows(six, {leaf_only}, 5, 0));
 }
 
 TEST(FlatTree, ExplainBatchBitIdenticalAtEveryThreadCount) {
@@ -204,25 +350,44 @@ TEST(FlatTree, ExplainBatchBitIdenticalAtEveryThreadCount) {
   auto gbdt = GradientBoostedTrees::Fit(ds, {.num_rounds = 12});
   ASSERT_TRUE(gbdt.ok());
   TreeShapExplainer explainer(*gbdt, ds.schema());
-  const size_t n = 256;
+  const size_t n = 257;  // Eight full 32-row blocks plus a partial one.
   Matrix rows(n, ds.d());
   for (size_t i = 0; i < n; ++i) rows.SetRow(i, ds.row(i));
 
   // Serial per-row reference.
-  std::vector<std::vector<double>> serial(n);
+  std::vector<FeatureAttribution> serial(n);
   for (size_t i = 0; i < n; ++i) {
     auto attr = explainer.Explain(ds.row(i));
     ASSERT_TRUE(attr.ok());
-    serial[i] = attr->values;
+    serial[i] = *attr;
   }
+  auto expect_serial = [&](const FeatureAttribution& a, size_t i,
+                           const std::string& what) {
+    EXPECT_EQ(a.base_value, serial[i].base_value) << what << " row " << i;
+    EXPECT_EQ(a.prediction, serial[i].prediction) << what << " row " << i;
+    for (size_t j = 0; j < ds.d(); ++j)
+      EXPECT_EQ(a.values[j], serial[i].values[j]) << what << " row " << i;
+  };
 
-  // The serving idiom: fixed row chunks dispatched over the global pool,
-  // one ExplainBatch per chunk. Chunk boundaries depend only on n, so any
-  // thread count must reproduce the serial doubles exactly.
-  constexpr size_t kChunk = 64;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     SetGlobalThreads(threads);
-    std::vector<std::vector<double>> parallel(n);
+    const std::string at = "threads " + std::to_string(threads);
+    // ExplainBatch's own blocks: the 256 full-block rows, then all 257.
+    for (size_t batch_rows : {size_t{256}, n}) {
+      std::vector<size_t> idx(batch_rows);
+      for (size_t i = 0; i < batch_rows; ++i) idx[i] = i;
+      auto attrs = explainer.ExplainBatch(rows.SelectRows(idx));
+      ASSERT_TRUE(attrs.ok());
+      ASSERT_EQ(attrs->size(), batch_rows);
+      for (size_t i = 0; i < batch_rows; ++i)
+        expect_serial((*attrs)[i], i,
+                      at + " batch " + std::to_string(batch_rows));
+    }
+
+    // The serving idiom: fixed row chunks dispatched over the global pool,
+    // one ExplainBatch per chunk, so one explainer serves concurrent calls.
+    constexpr size_t kChunk = 64;
+    std::vector<FeatureAttribution> parallel(n);
     const size_t num_chunks = (n + kChunk - 1) / kChunk;
     GlobalPool().ParallelFor(0, num_chunks, 1, [&](size_t c) {
       const size_t begin = c * kChunk;
@@ -231,13 +396,10 @@ TEST(FlatTree, ExplainBatchBitIdenticalAtEveryThreadCount) {
       for (size_t i = begin; i < end; ++i) block.SetRow(i - begin, rows.Row(i));
       auto attrs = explainer.ExplainBatch(block);
       ASSERT_TRUE(attrs.ok());
-      for (size_t i = begin; i < end; ++i)
-        parallel[i] = (*attrs)[i - begin].values;
+      for (size_t i = begin; i < end; ++i) parallel[i] = (*attrs)[i - begin];
     });
     for (size_t i = 0; i < n; ++i)
-      for (size_t j = 0; j < ds.d(); ++j)
-        EXPECT_EQ(parallel[i][j], serial[i][j])
-            << "threads " << threads << " row " << i;
+      expect_serial(parallel[i], i, at + " chunked");
   }
   SetGlobalThreads(0);  // Restore env/hardware default.
 }

@@ -94,6 +94,15 @@ TEST(ShapSummaryStats, DirectionTracksWeightSign) {
   EXPECT_LT(summary->direction[*debt], -0.1);    // More debt -> deny.
   EXPECT_GT(summary->mean_abs_attribution[*income],
             summary->mean_abs_attribution[7]);   // income >> married.
+  // With no rows to average (max_rows 0, or an empty dataset) the global
+  // importance is the zero vector, not 0/0.
+  const Dataset empty = ds.Select({});
+  for (const std::vector<double>& imp :
+       {GlobalMeanAbsShap(&explainer, ds, 0),
+        GlobalMeanAbsShap(&explainer, empty, 200)}) {
+    ASSERT_EQ(imp.size(), ds.d());
+    for (double v : imp) EXPECT_EQ(v, 0.0);
+  }
 }
 
 TEST(SubmodularPick, CoversFeaturesAndRespectsBudget) {

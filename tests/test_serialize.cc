@@ -100,6 +100,39 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_FALSE(LoadAnyModel(path).ok());
   EXPECT_FALSE(PeekModelType(path).ok());
   EXPECT_FALSE(LoadAnyModel("/nonexistent/m.txt").ok());
+  // Short artifacts whose header counts claim far more numbers than the
+  // file holds: each is rejected before the count sizes an allocation
+  // (the knn one used to throw std::bad_alloc out of LoadAnyModel).
+  const std::vector<std::pair<const char*, const char*>> oversized = {
+      {"knn rows x features",
+       "xaidb_model v1\ntype knn\nk 3\nnum_rows 10000000\n"
+       "num_features 1000000\nschema 0\nlabels\n"},
+      {"knn schema size",
+       "xaidb_model v1\ntype knn\nk 3\nnum_rows 1\nnum_features 1\n"
+       "schema 1000000\nnum a\n"},
+      {"knn category count",
+       "xaidb_model v1\ntype knn\nk 3\nnum_rows 1\nnum_features 1\n"
+       "schema 1\ncat a 1000000 x y\n"},
+      {"linear weights",
+       "xaidb_model v1\ntype linear\nlambda 0\nintercept 0\n"
+       "weights 10000000 1 2\n"},
+      {"logistic theta",
+       "xaidb_model v1\ntype logistic\nlambda 0\ntheta 10000000 1 2\n"},
+      {"nbayes llr",
+       "xaidb_model v1\ntype nbayes\nprior_log_odds 0\nllr 10000000 1 2\n"},
+  };
+  for (const auto& [name, text] : oversized) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    auto loaded = LoadAnyModel(path);
+    EXPECT_FALSE(loaded.ok()) << name;
+    if (!loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << name << ": " << loaded.status().ToString();
+    }
+  }
   // The loaded dynamic type is the kind that was saved.
   Dataset ds = MakeGaussianDataset(100, {.seed = 1, .dims = 2});
   auto model = LogisticRegression::Fit(ds);
@@ -205,6 +238,18 @@ const std::vector<Corruption>& Corruptions() {
       {"zero-node tree",
        [](Lines* l) { (*l)[LineStarting(*l, "tree ")] = "tree 0"; }},
       {"truncated node list", [](Lines* l) { l->pop_back(); }},
+      {"node count far past the body",
+       [](Lines* l) { (*l)[LineStarting(*l, "tree ")] = "tree 9999999"; }},
+      {"gbdt tree count far past the body",
+       [](Lines* l) {
+         (*l)[LineStarting(*l, "num_trees ")] = "num_trees 999999";
+       },
+       "gbdt"},
+      {"forest tree count far past the body",
+       [](Lines* l) {
+         (*l)[LineStarting(*l, "num_trees ")] = "num_trees 999999";
+       },
+       "forest"},
       {"unknown gbdt loss",
        [](Lines* l) { (*l)[LineStarting(*l, "loss ")] = "loss hinge"; },
        "gbdt"},
