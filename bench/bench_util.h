@@ -1,14 +1,11 @@
 #ifndef XAIDB_BENCH_BENCH_UTIL_H_
 #define XAIDB_BENCH_BENCH_UTIL_H_
 
-#include <sys/resource.h>
-
 #include <cstdarg>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "core/eval_engine.h"
 #include "obs/obs.h"
 
 namespace xai::bench {
@@ -49,122 +46,6 @@ inline void ReportMetrics() {
                 static_cast<unsigned long long>(::xai::obs::TraceEventCount()),
                 static_cast<unsigned long long>(
                     ::xai::obs::TraceDroppedCount()));
-}
-
-/// Zeroes the internal counters so a ReportMetrics() at the end of a bench
-/// covers exactly that bench's work. No-op when metrics are off.
-inline void ResetMetrics() {
-  if (!::xai::obs::Enabled()) return;
-  ::xai::obs::MetricsRegistry::Global().ResetAll();
-}
-
-/// Shared CLI conventions for the bench binaries:
-///   bench_foo [output.json] [--trace-json <path>]
-/// TraceJsonArg scans argv for --trace-json, turns the flight recorder on
-/// when present, and returns the capture path ("" when absent).
-/// PositionalArg returns the i-th argument that is neither a --flag nor a
-/// flag's value, so JSON output paths keep working in any argument order.
-inline std::string TraceJsonArg(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trace-json") {
-      ::xai::obs::SetTraceEnabled(true);
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
-inline std::string PositionalArg(int argc, char** argv, int index,
-                                 const std::string& fallback) {
-  int seen = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      ++i;  // skip the flag's value
-      continue;
-    }
-    if (seen++ == index) return arg;
-  }
-  return fallback;
-}
-
-/// Renders coalition-value cache counters as a JSON object fragment for a
-/// bench's BENCH_*.json file: {"hits": .., "misses": .., "hit_rate": ..,
-/// "entries": .., "evictions": ..}. Pass a delta of two EvalCacheStats
-/// snapshots to scope the numbers to one phase of a bench.
-inline std::string CacheStatsJson(const ::xai::EvalCacheStats& s) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"hits\": %llu, \"misses\": %llu, \"hit_rate\": %.4f, "
-                "\"entries\": %llu, \"evictions\": %llu}",
-                static_cast<unsigned long long>(s.hits),
-                static_cast<unsigned long long>(s.misses), s.HitRate(),
-                static_cast<unsigned long long>(s.entries),
-                static_cast<unsigned long long>(s.evictions));
-  return buf;
-}
-
-/// Prints one aligned cache-stats table row (pairs with CacheStatsJson the
-/// way Row pairs with WriteJson).
-inline void ReportCacheStats(const char* label,
-                             const ::xai::EvalCacheStats& s) {
-  Row("%-14s %llu hits / %llu misses (%.1f%% hit rate), %llu entries, "
-      "%llu evictions",
-      label, static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.misses), 100.0 * s.HitRate(),
-      static_cast<unsigned long long>(s.entries),
-      static_cast<unsigned long long>(s.evictions));
-}
-
-/// Peak resident set size of this process so far, in bytes (Linux
-/// ru_maxrss is KiB; macOS reports bytes directly). 0 when unavailable.
-inline uint64_t PeakRssBytes() {
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-#ifdef __APPLE__
-  return static_cast<uint64_t>(ru.ru_maxrss);
-#else
-  return static_cast<uint64_t>(ru.ru_maxrss) * 1024;
-#endif
-}
-
-/// JSON object fragment recording the process resource footprint, written
-/// into every BENCH_*.json so memory joins the perf trajectory:
-/// {"peak_rss_bytes": .., "peak_rss_mib": ..[, "audit_log_bytes": ..]}.
-/// Pass the ledger's stats().bytes when the bench ran with auditing on.
-inline std::string ResourcesJson(uint64_t audit_log_bytes = 0) {
-  const uint64_t rss = PeakRssBytes();
-  char buf[160];
-  if (audit_log_bytes > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"peak_rss_bytes\": %llu, \"peak_rss_mib\": %.1f, "
-                  "\"audit_log_bytes\": %llu}",
-                  static_cast<unsigned long long>(rss),
-                  static_cast<double>(rss) / (1024.0 * 1024.0),
-                  static_cast<unsigned long long>(audit_log_bytes));
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"peak_rss_bytes\": %llu, \"peak_rss_mib\": %.1f}",
-                  static_cast<unsigned long long>(rss),
-                  static_cast<double>(rss) / (1024.0 * 1024.0));
-  }
-  return buf;
-}
-
-/// Writes the merged flight-recorder buffers to `path` (Chrome trace JSON)
-/// and reports where the trace went plus how much the ring dropped. No-op
-/// when path is empty.
-inline void MaybeWriteTrace(const std::string& path) {
-  if (path.empty()) return;
-  const ::xai::Status s = ::xai::obs::WriteTraceJson(path);
-  if (s.ok())
-    std::printf("trace: wrote %s (%llu events, %llu dropped)\n", path.c_str(),
-                static_cast<unsigned long long>(::xai::obs::TraceEventCount()),
-                static_cast<unsigned long long>(
-                    ::xai::obs::TraceDroppedCount()));
-  else
-    std::printf("trace: FAILED to write %s: %s\n", path.c_str(),
-                s.message().c_str());
 }
 
 }  // namespace xai::bench

@@ -6,7 +6,7 @@
 //                          counterfactual|all]
 //             [--serve-demo] [--swap-demo]
 //             [--registry-dir <dir>] [--model-version N]
-//             [--threads N] [--cache-size N]
+//             [--max-bins N] [--threads N] [--cache-size N]
 //             [--metrics] [--metrics-json <path>]
 //             [--trace-json <path>]
 //             [--monitor-port N] [--monitor-period-ms N]
@@ -17,7 +17,11 @@
 //
 // The CSV format is WriteCsv's: header row, last column = binary target.
 // With no arguments the tool writes a demo CSV to /tmp and explains it —
-// so `xaidb_cli` alone always produces output.
+// so `xaidb_cli` alone always produces output. An unknown --flag, or a
+// value flag with no value after it, is an error (exit 1).
+//
+// --max-bins N sets the histogram resolution of the gbdt and forest fits
+// (default 256); a value outside [2, 65536] fails the fit.
 //
 // --serve-demo runs the async ExplanationService instead of a one-shot
 // explanation: a burst of requests (with repeated hot rows) is submitted
@@ -99,6 +103,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -315,7 +320,7 @@ int main(int argc, char** argv) {
   std::string audit_dir;
   std::string audit_query_dir;
   std::string audit_replay_dir;
-  TrainOptions train_opts;  // --train-method / --max-bins (default: hist)
+  TrainOptions train_opts;  // --max-bins
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--model" && i + 1 < argc) {
@@ -357,27 +362,19 @@ int main(int argc, char** argv) {
       audit_query_dir = argv[++i];
     } else if (arg == "--audit-replay" && i + 1 < argc) {
       audit_replay_dir = argv[++i];
-    } else if (arg == "--train-method" && i + 1 < argc) {
-      const std::string method = argv[++i];
-      if (method == "exact") {
-        train_opts.method = TrainMethod::kExact;
-      } else if (method == "hist") {
-        train_opts.method = TrainMethod::kHist;
-      } else {
-        std::fprintf(stderr, "error: unknown --train-method '%s'\n",
-                     method.c_str());
-        return 1;
-      }
     } else if (arg == "--max-bins" && i + 1 < argc) {
+      // Saturated to int only: the fit rejects values outside [2, 65536].
       train_opts.max_bins = static_cast<int>(
-          std::clamp(std::atoll(argv[++i]), 2LL, 65536LL));
+          std::clamp(std::atoll(argv[++i]),
+                     static_cast<long long>(std::numeric_limits<int>::min()),
+                     static_cast<long long>(std::numeric_limits<int>::max())));
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: %s <data.csv> [--model gbdt|logistic|forest] "
                   "[--row N] [--explainer "
                   "treeshap|kernelshap|lime|mcshapley|anchors|"
                   "counterfactual|all] [--serve-demo] [--swap-demo] "
                   "[--registry-dir <dir>] [--model-version N] "
-                  "[--train-method hist|exact] [--max-bins N] "
+                  "[--max-bins N] "
                   "[--threads N] [--cache-size N] "
                   "[--metrics] [--metrics-json <path>] "
                   "[--trace-json <path>] "
@@ -389,6 +386,10 @@ int main(int argc, char** argv) {
                   "[--model-version N]\n",
                   argv[0]);
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      // An unknown flag, or a value flag given as the last argument.
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
+      return 1;
     } else if (csv_path.empty()) {
       csv_path = arg;
     }
@@ -655,9 +656,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (model_kind == "gbdt" || model_kind == "forest") {
-      std::printf("train: method=%s max_bins=%d fit_ms=%.1f\n",
-                  train_opts.method == TrainMethod::kHist ? "hist" : "exact",
-                  train_opts.max_bins, fit_watch.ElapsedMs());
+      std::printf("train: max_bins=%d fit_ms=%.1f\n", train_opts.max_bins,
+                  fit_watch.ElapsedMs());
     }
     if (registry.valid()) {
       // Persist the fresh fit as the next version and serve the

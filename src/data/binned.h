@@ -23,8 +23,9 @@ namespace xai {
 ///  - When a feature has at most `max_bins` distinct values, every distinct
 ///    value gets its own bin and each boundary is the midpoint between two
 ///    consecutive distinct values — the *same* candidate thresholds the
-///    exact sort-per-node learner evaluates, which is what makes hist-vs-
-///    exact tree parity possible on small data.
+///    exact sort-per-node learner evaluates (the test oracle in
+///    tests/reference/exact_learner.h), which is what makes hist-vs-exact
+///    tree parity possible on small data.
 ///  - Otherwise boundaries are taken at evenly spaced sample ranks
 ///    (quantiles) over the sorted column, snapped to midpoints between the
 ///    distinct values that straddle each rank, then deduplicated.

@@ -41,8 +41,8 @@ Result<std::vector<double>> TupleShapley(size_t num_tuples,
   // allocation stay well inside size_t range no matter what the caller
   // puts in exact_up_to. 2^25 game values ≈ 256 MiB — already past any
   // sensible exact budget.
-  constexpr size_t kExactHardCap = 25;
-  const size_t exact_up_to = std::min(opts.exact_up_to, kExactHardCap);
+  constexpr size_t kMaxExactTuples = 25;
+  const size_t exact_up_to = std::min(opts.exact_up_to, kMaxExactTuples);
   if (num_tuples <= exact_up_to)
     return ExactShapley(game, static_cast<int>(exact_up_to));
   if (opts.num_permutations == 0 ||

@@ -26,8 +26,8 @@ struct UnlearnResult {
 };
 
 /// Removes (x, y) from the tree's sufficient statistics. The tree must
-/// have been fit with plain mean leaf values (FitRegressionTree without
-/// hessian weights; classification trees store the positive-class
+/// have been fit with plain mean leaf values (FitRegressionTreeHist
+/// without hessian weights; classification trees store the positive-class
 /// fraction, i.e. the mean of {0,1} labels, so they qualify).
 Result<UnlearnResult> UnlearnFromTree(Tree* tree,
                                       const std::vector<double>& x, double y,

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "data/binned.h"
 #include "data/transforms.h"
+#include "model/hist_learner.h"
 
 namespace xai {
 namespace {
@@ -58,12 +60,15 @@ Result<CxplainExplainer> CxplainExplainer::Fit(const Model& model,
     targets.SetRow(i, imp);
   }
 
-  // One regression tree per feature: x -> importance_j.
+  // One regression tree per feature: x -> importance_j, all d fits over
+  // one quantization of x.
+  XAI_ASSIGN_OR_RETURN(BinnedDataset binned,
+                       BinnedDataset::Build(x, opts.tree.train.max_bins));
   std::vector<Tree> trees;
   trees.reserve(d);
   for (size_t j = 0; j < d; ++j) {
     std::vector<double> tj = targets.Col(j);
-    trees.push_back(FitRegressionTree(x, tj, opts.tree));
+    trees.push_back(FitRegressionTreeHist(binned, tj, opts.tree));
   }
   explainer.per_feature_trees_ = FlatEnsemble::Compile(trees);
   return explainer;

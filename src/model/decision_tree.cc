@@ -12,7 +12,9 @@ namespace xai {
 Result<DecisionTree> DecisionTree::Fit(const Dataset& ds,
                                        const TreeConfig& config) {
   if (ds.n() == 0) return Status::InvalidArgument("DecisionTree: empty data");
-  return FromParts(FitRegressionTree(ds.x(), ds.y(), config), ds.d());
+  XAI_ASSIGN_OR_RETURN(BinnedDataset binned,
+                       BinnedDataset::Build(ds.x(), config.train.max_bins));
+  return FromParts(FitRegressionTreeHist(binned, ds.y(), config), ds.d());
 }
 
 DecisionTree DecisionTree::FromParts(Tree tree, size_t num_features) {
@@ -43,16 +45,8 @@ Result<RandomForest> RandomForest::Fit(const Dataset& ds,
         1, static_cast<int>(std::sqrt(static_cast<double>(ds.d()))));
   }
   // Quantize once; every tree of the forest shares the read-only codes.
-  BinnedDataset binned;
-  bool hist = cfg.train.method == TrainMethod::kHist;
-  if (hist) {
-    auto b = BinnedDataset::Build(ds.x(), cfg.train.max_bins);
-    if (b.ok()) {
-      binned = std::move(*b);
-    } else {
-      hist = false;
-    }
-  }
+  XAI_ASSIGN_OR_RETURN(BinnedDataset binned,
+                       BinnedDataset::Build(ds.x(), cfg.train.max_bins));
   // Per-tree ChunkSeed counter streams (PR 2 scheme): tree t's bootstrap
   // bag and feature-sampling stream depend only on (seed, t), never on
   // which thread fits it or how many trees ran before — forest training
@@ -65,10 +59,8 @@ Result<RandomForest> RandomForest::Fit(const Dataset& ds,
         for (size_t i = 0; i < ds.n(); ++i)
           rows[i] = static_cast<size_t>(boot_rng.NextInt(ds.n()));
         Rng tree_rng(ChunkSeed(opts.seed, 2 * t + 1));
-        trees[t] = hist ? FitRegressionTreeHist(binned, ds.y(), cfg, nullptr,
-                                                &rows, &tree_rng)
-                        : FitRegressionTree(ds.x(), ds.y(), cfg, nullptr,
-                                            &rows, &tree_rng);
+        trees[t] = FitRegressionTreeHist(binned, ds.y(), cfg, nullptr, &rows,
+                                         &tree_rng);
       });
   return FromParts(std::move(trees), ds.d());
 }

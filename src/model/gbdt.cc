@@ -23,16 +23,8 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
   Rng rng(opts.seed);
 
   // Quantize once; all rounds share the read-only bin codes.
-  BinnedDataset binned;
-  bool hist = opts.tree.train.method == TrainMethod::kHist;
-  if (hist) {
-    auto b = BinnedDataset::Build(ds.x(), opts.tree.train.max_bins);
-    if (b.ok()) {
-      binned = std::move(*b);
-    } else {
-      hist = false;
-    }
-  }
+  XAI_ASSIGN_OR_RETURN(BinnedDataset binned,
+                       BinnedDataset::Build(ds.x(), opts.tree.train.max_bins));
 
   if (opts.loss == Loss::kLogistic) {
     const double pos =
@@ -75,7 +67,7 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
     Rng tree_rng = rng.Fork();
     Rng* tree_rng_ptr = opts.tree.max_features > 0 ? &tree_rng : nullptr;
     Tree tree;
-    if (hist && rows_ptr == nullptr) {
+    if (rows_ptr == nullptr) {
       // Full-data round: the learner already knows which leaf every row
       // landed in, so the margin update is one indexed add per row — no
       // tree re-traversal at all (the binned-codes fast path).
@@ -85,14 +77,11 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
         margin[i] += opts.learning_rate *
                      tree.nodes[static_cast<size_t>(leaf_of_row[i])].value;
     } else {
-      tree = hist ? FitRegressionTreeHist(binned, residual, opts.tree, hess,
-                                          rows_ptr, tree_rng_ptr)
-                  : FitRegressionTree(ds.x(), residual, opts.tree, hess,
-                                      rows_ptr, tree_rng_ptr);
+      tree = FitRegressionTreeHist(binned, residual, opts.tree, hess,
+                                   rows_ptr, tree_rng_ptr);
       // Subsampled rounds update margins for *all* rows: compile the round
       // tree and run the branch-free flat accumulation (same leaf, same
-      // scale-and-add as a walk over the nodes, so exact-mode output is
-      // unchanged).
+      // scale-and-add as a walk over the nodes).
       const FlatEnsemble one = FlatEnsemble::Compile(tree);
       one.AccumulateTree(0, ds.x(), opts.learning_rate, &margin);
     }

@@ -47,7 +47,8 @@ class DataPartition {
 /// (sum_target, sum_hessian, count) histogram bin per feature bin, scans
 /// bins in ascending order for the best split, and recurses depth-first —
 /// the same node numbering, gain formula (sum^2/hessian), stopping rules,
-/// and leaf values as FitRegressionTree, so the two learners produce
+/// and leaf values as the sort-per-node exact learner the parity tests
+/// keep as an oracle (tests/reference/exact_learner.h), so the two produce
 /// identical trees whenever binning is lossless and target sums are exact.
 ///
 /// Cost per tree is O(n·d) for the root histogram plus O(bins·d) per

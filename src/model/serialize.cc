@@ -400,8 +400,10 @@ Result<std::unique_ptr<Model>> ReadKnn(std::istream& in) {
   for (size_t i = 0; i < n; ++i)
     for (size_t j = 0; j < d; ++j) in >> x(i, j);
   if (!in) return Status::InvalidArgument("malformed knn rows");
-  return Boxed(KnnClassifier::FromParts(
-      Dataset(Schema(std::move(specs)), std::move(x), std::move(y)), k));
+  XAI_ASSIGN_OR_RETURN(
+      Dataset train,
+      Dataset::Create(Schema(std::move(specs)), std::move(x), std::move(y)));
+  return Boxed(KnnClassifier::FromParts(std::move(train), k));
 }
 
 Result<std::unique_ptr<Model>> ReadNaiveBayes(std::istream& in) {

@@ -1,12 +1,7 @@
 #include "model/tree.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
-
-#include "data/binned.h"
-#include "model/hist_learner.h"
-#include "obs/obs.h"
+#include <utility>
 
 namespace xai {
 
@@ -43,155 +38,6 @@ double Tree::ExpectedValue() const {
     }
   }
   return total > 0.0 ? weighted / total : 0.0;
-}
-
-namespace {
-
-/// Recursive CART builder over an index range [begin, end) of `order`.
-class TreeBuilder {
- public:
-  TreeBuilder(const Matrix& x, const std::vector<double>& t,
-              const std::vector<double>* h, const TreeConfig& config,
-              Rng* rng)
-      : x_(x), t_(t), h_(h), config_(config), rng_(rng) {}
-
-  Tree Build(std::vector<size_t> rows) {
-    tree_.nodes.clear();
-    // One (value, row) scratch buffer for the whole fit: every node's
-    // feature loop refills and re-sorts it in place, instead of paying a
-    // fresh allocation per node.
-    vals_.reserve(rows.size());
-    BuildNode(&rows, 0, rows.size(), 0);
-    return std::move(tree_);
-  }
-
- private:
-  double HWeight(size_t i) const { return h_ ? (*h_)[i] : 1.0; }
-
-  // Creates the node for rows[begin, end) at `depth`; returns its index.
-  int BuildNode(std::vector<size_t>* rows, size_t begin, size_t end,
-                int depth) {
-    double sum_t = 0.0;
-    double sum_h = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      sum_t += t_[(*rows)[k]];
-      sum_h += HWeight((*rows)[k]);
-    }
-    const int node_idx = static_cast<int>(tree_.nodes.size());
-    tree_.nodes.emplace_back();
-    tree_.nodes[node_idx].cover = static_cast<double>(end - begin);
-    tree_.nodes[node_idx].value =
-        sum_h > 1e-12 ? sum_t / sum_h : 0.0;
-
-    const size_t n = end - begin;
-    if (depth >= config_.max_depth ||
-        n < 2 * static_cast<size_t>(config_.min_samples_leaf)) {
-      return node_idx;
-    }
-
-    // Candidate features.
-    const size_t d = x_.cols();
-    std::vector<size_t> feats(d);
-    std::iota(feats.begin(), feats.end(), 0);
-    if (config_.max_features > 0 &&
-        static_cast<size_t>(config_.max_features) < d && rng_) {
-      feats = rng_->SampleWithoutReplacement(d, config_.max_features);
-    }
-
-    const double parent_score = sum_t * sum_t / std::max(sum_h, 1e-12);
-    double best_gain = 1e-12;
-    int best_feature = -1;
-    double best_threshold = 0.0;
-
-    std::vector<std::pair<double, size_t>>& vals = vals_;
-    for (size_t f : feats) {
-      vals.clear();
-      for (size_t k = begin; k < end; ++k)
-        vals.emplace_back(x_((*rows)[k], f), (*rows)[k]);
-      std::sort(vals.begin(), vals.end());
-      if (vals.front().first == vals.back().first) continue;
-      double left_t = 0.0;
-      double left_h = 0.0;
-      for (size_t k = 0; k + 1 < n; ++k) {
-        left_t += t_[vals[k].second];
-        left_h += HWeight(vals[k].second);
-        if (vals[k].first == vals[k + 1].first) continue;
-        const size_t n_left = k + 1;
-        const size_t n_right = n - n_left;
-        if (n_left < static_cast<size_t>(config_.min_samples_leaf) ||
-            n_right < static_cast<size_t>(config_.min_samples_leaf))
-          continue;
-        const double right_t = sum_t - left_t;
-        const double right_h = sum_h - left_h;
-        const double score =
-            left_t * left_t / std::max(left_h, 1e-12) +
-            right_t * right_t / std::max(right_h, 1e-12);
-        const double gain = score - parent_score;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (vals[k].first + vals[k + 1].first);
-        }
-      }
-    }
-
-    if (best_feature < 0) return node_idx;
-
-    // Partition rows in place: left block first.
-    const auto mid_it = std::partition(
-        rows->begin() + static_cast<std::ptrdiff_t>(begin),
-        rows->begin() + static_cast<std::ptrdiff_t>(end), [&](size_t r) {
-          return x_(r, static_cast<size_t>(best_feature)) <= best_threshold;
-        });
-    const size_t mid =
-        static_cast<size_t>(mid_it - rows->begin());
-    if (mid == begin || mid == end) return node_idx;  // Degenerate split.
-
-    tree_.nodes[node_idx].feature = best_feature;
-    tree_.nodes[node_idx].threshold = best_threshold;
-    const int left = BuildNode(rows, begin, mid, depth + 1);
-    tree_.nodes[node_idx].left = left;
-    const int right = BuildNode(rows, mid, end, depth + 1);
-    tree_.nodes[node_idx].right = right;
-    return node_idx;
-  }
-
-  const Matrix& x_;
-  const std::vector<double>& t_;
-  const std::vector<double>* h_;
-  const TreeConfig& config_;
-  Rng* rng_;
-  Tree tree_;
-  std::vector<std::pair<double, size_t>> vals_;  // (feature value, row)
-};
-
-}  // namespace
-
-Tree FitRegressionTree(const Matrix& x, const std::vector<double>& targets,
-                       const TreeConfig& config,
-                       const std::vector<double>* hessian_weights,
-                       const std::vector<size_t>* row_subset, Rng* rng) {
-  if (config.train.method == TrainMethod::kHist) {
-    auto binned = BinnedDataset::Build(x, config.train.max_bins);
-    // Degenerate inputs (empty matrix) fall through to the exact learner,
-    // which shares the empty-tree behavior tests pin down.
-    if (binned.ok()) {
-      return FitRegressionTreeHist(*binned, targets, config, hessian_weights,
-                                   row_subset, rng);
-    }
-  }
-  XAI_OBS_SPAN("train.fit_tree_exact");
-  std::vector<size_t> rows;
-  if (row_subset) {
-    rows = *row_subset;
-  } else {
-    rows.resize(x.rows());
-    std::iota(rows.begin(), rows.end(), 0);
-  }
-  TreeBuilder builder(x, targets, hessian_weights, config, rng);
-  Tree tree = builder.Build(std::move(rows));
-  XAI_OBS_COUNT("train.trees_fit_exact");
-  return tree;
 }
 
 }  // namespace xai

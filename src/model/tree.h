@@ -4,9 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/rng.h"
-#include "math/matrix.h"
-
 namespace xai {
 
 /// A node of a binary decision tree. Internal nodes route `x[feature] <=
@@ -26,7 +23,7 @@ struct TreeNode {
 
 /// A plain binary regression/score tree: nodes in a flat vector, node 0 is
 /// the root, every child numbered after its parent. This is what the
-/// learners build and what model artifacts store. Every read of a fitted
+/// learner builds and what model artifacts store. Every read of a fitted
 /// tree (prediction, TreeSHAP, the explainers and valuations built on
 /// them) runs on the FlatEnsemble compiled from it (flat_tree.h); the
 /// node-walking versions survive only as test oracles (tests/reference/).
@@ -43,22 +40,12 @@ struct Tree {
   double ExpectedValue() const;
 };
 
-/// How a regression tree's splits are found.
-enum class TrainMethod {
-  /// Sort-per-node exact split enumeration — the reference oracle the
-  /// histogram learner's parity tests compare against.
-  kExact,
-  /// Quantized histogram split finding over a BinnedDataset (default):
-  /// per-feature parallel accumulation + parent−sibling subtraction.
-  kHist,
-};
-
-/// Training-method knobs shared by DecisionTree/RandomForest/GBDT fits.
+/// Training knobs shared by DecisionTree/RandomForest/GBDT fits.
 struct TrainOptions {
-  TrainMethod method = TrainMethod::kHist;
-  /// Histogram resolution per feature. <= 256 stores u8 bin codes,
-  /// <= 65536 stores u16. Features with fewer distinct values than this
-  /// are binned losslessly (one bin per value, exact-learner thresholds).
+  /// Histogram resolution per feature, in [2, 65536]; a fit with any other
+  /// value returns InvalidArgument. <= 256 stores u8 bin codes, larger
+  /// values u16. Features with fewer distinct values than this are binned
+  /// losslessly (one bin per value).
   int max_bins = 256;
   /// Derive the larger child's histogram as parent − sibling instead of
   /// re-accumulating it (off only for debugging/tests; only applies when
@@ -75,21 +62,6 @@ struct TreeConfig {
   int max_features = 0;
   TrainOptions train;
 };
-
-/// Fits a regression tree minimizing squared error on (X, targets) with
-/// optional per-sample `hessian_weights`: when provided, leaf values are
-/// sum(target_i)/sum(weight_i) — the Newton leaf step used by gradient
-/// boosting with logistic loss. Without weights, leaf value = mean target.
-///
-/// Dispatches on config.train.method: kHist quantizes x into a
-/// BinnedDataset and runs the histogram learner (hist_learner.h); callers
-/// fitting many trees over the same matrix (forest/GBDT) should build the
-/// BinnedDataset once and call FitRegressionTreeHist directly.
-Tree FitRegressionTree(const Matrix& x, const std::vector<double>& targets,
-                       const TreeConfig& config,
-                       const std::vector<double>* hessian_weights = nullptr,
-                       const std::vector<size_t>* row_subset = nullptr,
-                       Rng* rng = nullptr);
 
 }  // namespace xai
 

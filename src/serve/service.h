@@ -55,7 +55,8 @@ struct ExplanationServiceOptions {
   size_t queue_capacity = 256;
   /// Max requests coalesced into one ExplainBatch sweep.
   size_t max_batch = 64;
-  /// When false every request is served alone (the bench's baseline).
+  /// When false every request is served alone (the solo baseline the
+  /// coalescing tests compare against).
   bool coalesce = true;
   /// When true the dispatcher accepts submissions but evaluates nothing
   /// until Resume() — lets tests stage a queue deterministically.
@@ -101,7 +102,7 @@ struct ExplanationBreakdown {
   uint64_t trace_id = 0;
   /// Version of the model this request was evaluated against — the one it
   /// captured at Submit, which a concurrent hot-swap cannot change. The
-  /// swap bench groups responses by this to check per-version
+  /// swap tests group responses by this to check per-version
   /// bit-identity through a live flip.
   int model_version = 0;
 };
@@ -150,7 +151,7 @@ struct ModelSwapOptions {
   size_t warm_rows = 64;
 };
 
-/// What a completed hot-swap did, for logs and the swap bench.
+/// What a completed hot-swap did, for logs and the swap tests.
 struct ModelSwapReport {
   std::string from;  ///< VersionedName of the outgoing model.
   std::string to;    ///< VersionedName of the incoming model.

@@ -11,8 +11,7 @@
 /// tree through its compiled FlatEnsemble (model/flat_tree.h); these are
 /// the original pointer-chasing versions, kept outside the library as
 /// oracles. The flat-vs-node parity tests compare the flat runtime against
-/// them with EXPECT_EQ, and bench_batch_throughput times AccumulateBatch as
-/// its node baseline.
+/// them with EXPECT_EQ.
 namespace xai::reference {
 
 /// Index (into tree.nodes) of the leaf x lands in: internal nodes route

@@ -14,11 +14,13 @@
 #include "common/thread_pool.h"
 #include "data/binned.h"
 #include "data/synthetic.h"
+#include "feature/cxplain.h"
 #include "model/decision_tree.h"
 #include "model/gbdt.h"
 #include "model/hist_learner.h"
 #include "model/metrics.h"
 #include "model/tree.h"
+#include "reference/exact_learner.h"
 #include "reference/tree_walkers.h"
 
 namespace xai {
@@ -29,20 +31,10 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { SetGlobalThreads(0); }
 };
 
-TreeConfig ExactConfig(int max_depth, int min_samples_leaf) {
+TreeConfig Config(int max_depth, int min_samples_leaf, int max_bins = 256) {
   TreeConfig cfg;
   cfg.max_depth = max_depth;
   cfg.min_samples_leaf = min_samples_leaf;
-  cfg.train.method = TrainMethod::kExact;
-  return cfg;
-}
-
-TreeConfig HistConfig(int max_depth, int min_samples_leaf,
-                      int max_bins = 256) {
-  TreeConfig cfg;
-  cfg.max_depth = max_depth;
-  cfg.min_samples_leaf = min_samples_leaf;
-  cfg.train.method = TrainMethod::kHist;
   cfg.train.max_bins = max_bins;
   return cfg;
 }
@@ -179,6 +171,33 @@ TEST(BinnedDataset, RejectsBadArguments) {
   EXPECT_FALSE(BinnedDataset::Build(Matrix(), 256).ok());
   EXPECT_FALSE(BinnedDataset::Build(Matrix(3, 2), 1).ok());
   EXPECT_FALSE(BinnedDataset::Build(Matrix(3, 2), 100000).ok());
+
+  // Every tree fit bins its data first, so an out-of-range max_bins fails
+  // the fit instead of training some other way.
+  Dataset ds = MakeLoanDataset(200);
+  GbdtOptions gbdt_opts{.num_rounds = 3};
+  gbdt_opts.tree.train.max_bins = 1;
+  auto gbdt = GradientBoostedTrees::Fit(ds, gbdt_opts);
+  ASSERT_FALSE(gbdt.ok());
+  EXPECT_EQ(gbdt.status().code(), StatusCode::kInvalidArgument);
+
+  RandomForestOptions forest_opts{.num_trees = 3};
+  forest_opts.tree.train.max_bins = 70000;
+  auto forest = RandomForest::Fit(ds, forest_opts);
+  ASSERT_FALSE(forest.ok());
+  EXPECT_EQ(forest.status().code(), StatusCode::kInvalidArgument);
+
+  auto dtree = DecisionTree::Fit(ds, Config(4, 5, /*max_bins=*/0));
+  ASSERT_FALSE(dtree.ok());
+  EXPECT_EQ(dtree.status().code(), StatusCode::kInvalidArgument);
+
+  auto model = DecisionTree::Fit(ds, Config(4, 5));
+  ASSERT_TRUE(model.ok());
+  CxplainOptions cx_opts;
+  cx_opts.tree.train.max_bins = -1;
+  auto cx = CxplainExplainer::Fit(*model, ds, cx_opts);
+  ASSERT_FALSE(cx.ok());
+  EXPECT_EQ(cx.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------- hist-vs-exact parity
@@ -198,10 +217,10 @@ TEST(HistLearner, IdenticalTreeOnSingleFeature) {
     x(i, 0) = static_cast<double>(v);
     y[i] = static_cast<double>((v * 2654435761ULL >> 7) & 1);
   }
-  const Tree exact = FitRegressionTree(x, y, ExactConfig(6, 2));
+  const Tree exact = reference::FitRegressionTreeExact(x, y, Config(6, 2));
   auto binned = BinnedDataset::Build(x, 256);
   ASSERT_TRUE(binned.ok());
-  const Tree hist = FitRegressionTreeHist(*binned, y, HistConfig(6, 2));
+  const Tree hist = FitRegressionTreeHist(*binned, y, Config(6, 2));
   ASSERT_GT(exact.nodes.size(), 5u);
   ExpectIdenticalTrees(exact, hist, /*compare_thresholds=*/true);
 }
@@ -213,11 +232,11 @@ TEST(HistLearner, IdenticalStructureOnMultiFeatureIntegerData) {
   // prediction must be identical when sums are exact.
   Dataset ds = MakeIntegerDataset(800, 5, 17, 12);
   const Tree exact =
-      FitRegressionTree(ds.x(), ds.y(), ExactConfig(6, 5));
+      reference::FitRegressionTreeExact(ds.x(), ds.y(), Config(6, 5));
   auto binned = BinnedDataset::Build(ds.x(), 256);
   ASSERT_TRUE(binned.ok());
   const Tree hist =
-      FitRegressionTreeHist(*binned, ds.y(), HistConfig(6, 5));
+      FitRegressionTreeHist(*binned, ds.y(), Config(6, 5));
   ASSERT_GT(exact.nodes.size(), 10u);
   ExpectIdenticalTrees(exact, hist, /*compare_thresholds=*/false);
   for (size_t i = 0; i < ds.n(); ++i) {
@@ -234,12 +253,12 @@ TEST(HistLearner, HessianWeightedParityWithinEpsilon) {
   std::vector<double> hess(ds.n());
   Rng rng(5);
   for (double& h : hess) h = 0.5 + rng.NextDouble();
-  const Tree exact =
-      FitRegressionTree(ds.x(), ds.y(), ExactConfig(4, 5), &hess);
+  const Tree exact = reference::FitRegressionTreeExact(
+      ds.x(), ds.y(), Config(4, 5), &hess);
   auto binned = BinnedDataset::Build(ds.x(), 256);
   ASSERT_TRUE(binned.ok());
   const Tree hist =
-      FitRegressionTreeHist(*binned, ds.y(), HistConfig(4, 5), &hess);
+      FitRegressionTreeHist(*binned, ds.y(), Config(4, 5), &hess);
   ASSERT_EQ(exact.nodes.size(), hist.nodes.size());
   for (size_t i = 0; i < ds.n(); ++i) {
     EXPECT_NEAR(reference::Predict(exact, ds.x().RowPtr(i)),
@@ -253,8 +272,8 @@ TEST(HistLearner, SubtractionMatchesDirectAccumulation) {
   Dataset ds = MakeIntegerDataset(1000, 4, 29, 16);
   auto binned = BinnedDataset::Build(ds.x(), 256);
   ASSERT_TRUE(binned.ok());
-  TreeConfig with_sub = HistConfig(7, 2);
-  TreeConfig no_sub = HistConfig(7, 2);
+  TreeConfig with_sub = Config(7, 2);
+  TreeConfig no_sub = Config(7, 2);
   no_sub.train.hist_subtraction = false;
   const Tree a = FitRegressionTreeHist(*binned, ds.y(), with_sub);
   const Tree b = FitRegressionTreeHist(*binned, ds.y(), no_sub);
@@ -266,15 +285,11 @@ TEST(HistLearner, AccuracyWithinEpsilonOfExactOnRealData) {
   Dataset ds = MakeLoanDataset(3000);
   Rng rng(9);
   auto [train, test] = ds.Split(0.7, &rng);
-  GbdtOptions exact_opts{.num_rounds = 30};
-  exact_opts.tree.train.method = TrainMethod::kExact;
-  GbdtOptions hist_opts{.num_rounds = 30};
-  hist_opts.tree.train.method = TrainMethod::kHist;
-  auto exact = GradientBoostedTrees::Fit(train, exact_opts);
-  auto hist = GradientBoostedTrees::Fit(train, hist_opts);
-  ASSERT_TRUE(exact.ok());
+  const GbdtOptions opts{.num_rounds = 30};
+  const GradientBoostedTrees exact = reference::FitGbdtExact(train, opts);
+  auto hist = GradientBoostedTrees::Fit(train, opts);
   ASSERT_TRUE(hist.ok());
-  const double auc_exact = EvaluateAuc(*exact, test);
+  const double auc_exact = EvaluateAuc(exact, test);
   const double auc_hist = EvaluateAuc(*hist, test);
   EXPECT_GT(auc_exact, 0.8);
   EXPECT_GT(auc_hist, 0.8);
@@ -287,7 +302,6 @@ TEST(HistLearner, BitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   Dataset ds = MakeGaussianDataset(2000, {.seed = 31, .dims = 8, .rho = 0.3});
   GbdtOptions opts{.num_rounds = 15};
-  opts.tree.train.method = TrainMethod::kHist;
 
   SetGlobalThreads(1);
   auto serial = GradientBoostedTrees::Fit(ds, opts);
@@ -322,25 +336,6 @@ TEST(RandomForest, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial->Predict(ds.row(i)), parallel->Predict(ds.row(i)));
 }
 
-TEST(RandomForest, ExactModeAlsoThreadCountInvariant) {
-  // The per-tree ChunkSeed streams decouple bagging from scheduling for
-  // both methods, not just hist.
-  ThreadCountGuard guard;
-  Dataset ds = MakeLoanDataset(800);
-  RandomForestOptions opts{.num_trees = 8};
-  opts.tree.train.method = TrainMethod::kExact;
-
-  SetGlobalThreads(1);
-  auto serial = RandomForest::Fit(ds, opts);
-  SetGlobalThreads(3);
-  auto parallel = RandomForest::Fit(ds, opts);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  for (size_t t = 0; t < serial->trees().size(); ++t)
-    ExpectIdenticalTrees(serial->trees()[t], parallel->trees()[t],
-                         /*compare_thresholds=*/true);
-}
-
 // --------------------------------------------------------- degenerate data
 
 TEST(HistLearner, ConstantColumnNeverSplits) {
@@ -355,7 +350,7 @@ TEST(HistLearner, ConstantColumnNeverSplits) {
   }
   auto binned = BinnedDataset::Build(x, 256);
   ASSERT_TRUE(binned.ok());
-  const Tree tree = FitRegressionTreeHist(*binned, y, HistConfig(5, 5));
+  const Tree tree = FitRegressionTreeHist(*binned, y, Config(5, 5));
   ASSERT_GT(tree.nodes.size(), 1u);
   for (const TreeNode& node : tree.nodes)
     if (!node.is_leaf()) EXPECT_EQ(node.feature, 1);
@@ -367,7 +362,7 @@ TEST(HistLearner, AllConstantFeaturesYieldSingleLeaf) {
   for (size_t i = 0; i < 25; ++i) y[i] = 1.0;
   auto binned = BinnedDataset::Build(x, 256);
   ASSERT_TRUE(binned.ok());
-  const Tree tree = FitRegressionTreeHist(*binned, y, HistConfig(5, 5));
+  const Tree tree = FitRegressionTreeHist(*binned, y, Config(5, 5));
   ASSERT_EQ(tree.nodes.size(), 1u);
   EXPECT_TRUE(tree.nodes[0].is_leaf());
   EXPECT_DOUBLE_EQ(tree.nodes[0].value, 0.5);
@@ -378,7 +373,7 @@ TEST(HistLearner, RespectsDepthAndLeafLimits) {
   Dataset ds = MakeLoanDataset(1500);
   auto binned = BinnedDataset::Build(ds.x(), 64);
   ASSERT_TRUE(binned.ok());
-  const Tree tree = FitRegressionTreeHist(*binned, ds.y(), HistConfig(3, 40));
+  const Tree tree = FitRegressionTreeHist(*binned, ds.y(), Config(3, 40));
   EXPECT_LE(tree.MaxDepth(), 3);
   for (const TreeNode& node : tree.nodes)
     if (node.is_leaf()) EXPECT_GE(node.cover, 40.0);
@@ -399,7 +394,7 @@ TEST(HistLearner, WideU16FeaturesTrainCorrectly) {
   auto binned = BinnedDataset::Build(x, 2048);
   ASSERT_TRUE(binned.ok());
   EXPECT_FALSE(binned->narrow(0));
-  const Tree tree = FitRegressionTreeHist(*binned, y, HistConfig(4, 10));
+  const Tree tree = FitRegressionTreeHist(*binned, y, Config(4, 10));
   ASSERT_FALSE(tree.nodes[0].is_leaf());
   // The label rule is recoverable: training error should be near zero.
   size_t errors = 0;
@@ -418,7 +413,7 @@ TEST(HistLearner, LeafOfRowMatchesTreeTraversal) {
   auto binned = BinnedDataset::Build(ds.x(), 256);
   ASSERT_TRUE(binned.ok());
   std::vector<int32_t> leaf_of_row;
-  const Tree tree = FitRegressionTreeHist(*binned, ds.y(), HistConfig(6, 5),
+  const Tree tree = FitRegressionTreeHist(*binned, ds.y(), Config(6, 5),
                                           nullptr, nullptr, nullptr,
                                           &leaf_of_row);
   ASSERT_EQ(leaf_of_row.size(), ds.n());
@@ -436,7 +431,7 @@ TEST(HistLearner, LeafOfRowMarksRowsOutsideSubset) {
   std::vector<size_t> subset;
   for (size_t i = 0; i < ds.n(); i += 2) subset.push_back(i);
   std::vector<int32_t> leaf_of_row;
-  const Tree tree = FitRegressionTreeHist(*binned, ds.y(), HistConfig(4, 5),
+  const Tree tree = FitRegressionTreeHist(*binned, ds.y(), Config(4, 5),
                                           nullptr, &subset, nullptr,
                                           &leaf_of_row);
   for (size_t i = 0; i < ds.n(); ++i) {
@@ -464,17 +459,16 @@ TEST(Gbdt, SubsampledHistTrainingStillLearns) {
 }
 
 TEST(DecisionTree, HistDefaultMatchesExactOnSmallData) {
-  // DecisionTree::Fit carries the knob too; on integer data the two
-  // methods agree exactly (modulo interior thresholds).
+  // DecisionTree::Fit trains with the histogram learner; on integer data
+  // it agrees exactly with the exact oracle (modulo interior thresholds).
   Dataset ds = MakeIntegerDataset(500, 3, 53, 8);
-  TreeConfig exact_cfg = ExactConfig(5, 5);
-  TreeConfig hist_cfg = HistConfig(5, 5);
-  auto exact = DecisionTree::Fit(ds, exact_cfg);
-  auto hist = DecisionTree::Fit(ds, hist_cfg);
-  ASSERT_TRUE(exact.ok());
+  const TreeConfig cfg = Config(5, 5);
+  const DecisionTree exact = DecisionTree::FromParts(
+      reference::FitRegressionTreeExact(ds.x(), ds.y(), cfg), ds.d());
+  auto hist = DecisionTree::Fit(ds, cfg);
   ASSERT_TRUE(hist.ok());
   for (size_t i = 0; i < ds.n(); ++i)
-    EXPECT_EQ(exact->Predict(ds.row(i)), hist->Predict(ds.row(i)));
+    EXPECT_EQ(exact.Predict(ds.row(i)), hist->Predict(ds.row(i)));
 }
 
 }  // namespace

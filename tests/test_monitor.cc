@@ -1,19 +1,25 @@
 // Tests for the continuous-monitoring pipeline: Prometheus exposition,
 // the sampler's time-series rings, SLO burn-rate alerting, the
-// attribution-drift watchdog, the scrape endpoint, and the snapshot
-// export — plus a scrape-while-writing hammer for TSan.
+// attribution-drift watchdog (alone and fed by a live service's response
+// observer), the scrape endpoint, and the snapshot export — plus a
+// scrape-while-writing hammer for TSan.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/explanation.h"
+#include "data/synthetic.h"
 #include "eval/drift.h"
+#include "model/gbdt.h"
 #include "obs/obs.h"
+#include "serve/service.h"
 
 namespace xai {
 namespace {
@@ -293,6 +299,85 @@ TEST_F(MonitorTest, DriftArityMismatchIsSkipped) {
   wd.Observe(MakeAttr({1.0, 2.0, 3.0}));      // skipped
   wd.Observe(MakeAttr({1.0, 2.0}));
   EXPECT_EQ(wd.Report().observed, 2u);
+}
+
+TEST_F(MonitorTest, ServiceObserverFeedsDriftWatchdog) {
+  // The watchdog rides the service's response observer. Baseline rows pin
+  // the reference; then the whole population collapses to deep-subprime
+  // applicants (no income, bottom-of-scale credit score, heavy debt), an
+  // upstream covariate shift that moves attribution mass between features
+  // without any change to the model.
+  Dataset ds = MakeLoanDataset(2000);
+  auto model = GradientBoostedTrees::Fit(ds, {.num_rounds = 40});
+  ASSERT_TRUE(model.ok());
+  constexpr size_t kDistinct = 64;
+  std::vector<std::vector<double>> base_rows, shifted_rows;
+  for (size_t i = 0; i < kDistinct; ++i) {
+    std::vector<double> r = ds.row(i);
+    base_rows.push_back(r);
+    r[0] = 19.0;               // age at the bottom of the range
+    r[1] = 8.0;                // income floor
+    r[2] = 400.0;              // credit score far below the generator's
+    r[3] = r[3] * 4.0 + 60.0;  // debt balloons
+    r[4] = 0.0;                // no employment history
+    r[5] = 0.0;                // no education
+    shifted_rows.push_back(r);
+  }
+
+  DriftWatchdogOptions dopts;
+  dopts.reference_window = kDistinct;
+  dopts.window = kDistinct;
+  dopts.min_window = kDistinct / 2;
+  dopts.check_every = 8;
+  AttributionDriftWatchdog watchdog(dopts);
+  std::atomic<size_t> observed{0};
+  ExplanationServiceOptions sopts;
+  sopts.response_observer = [&](const ExplanationRequest&,
+                                const ExplanationResponse& r) {
+    observed.fetch_add(1);
+    watchdog.Observe(r.attribution);
+  };
+  ExplanationService service(ModelHandle::Borrow(*model), ds, sopts);
+
+  size_t served = 0;
+  auto run_wave = [&](const std::vector<std::vector<double>>& rows) {
+    std::vector<std::future<Result<ExplanationResponse>>> futures;
+    for (const std::vector<double>& row : rows) {
+      ExplanationRequest req;
+      req.instance = row;
+      req.kind = ExplainerKind::kTreeShap;
+      futures.push_back(service.Submit(std::move(req)));
+    }
+    for (auto& f : futures) {
+      EXPECT_TRUE(f.get().ok());
+      ++served;
+    }
+  };
+
+  run_wave(base_rows);
+  run_wave(base_rows);
+  EXPECT_TRUE(watchdog.Report().reference_pinned);
+  EXPECT_EQ(watchdog.alert_count(), 0u);
+
+  // Detection within a bounded number of shifted responses.
+  constexpr size_t kMaxShiftedWaves = 4;
+  size_t shifted_waves = 0;
+  while (watchdog.alert_count() == 0 && shifted_waves < kMaxShiftedWaves) {
+    run_wave(shifted_rows);
+    ++shifted_waves;
+  }
+  const DriftReport report = watchdog.Report();
+  EXPECT_GE(watchdog.alert_count(), 1u)
+      << "no alert after " << shifted_waves * kDistinct
+      << " shifted responses (L1 " << report.l1 << ", PSI " << report.psi
+      << ")";
+  EXPECT_TRUE(report.alerting);
+  service.Shutdown();
+
+  // Exactly one observer call per completed response.
+  EXPECT_EQ(observed.load(), served);
+  EXPECT_EQ(service.stats().completed, served);
+  EXPECT_EQ(report.observed, served);
 }
 
 TEST_F(MonitorTest, MonitorServerScrapeRoundtrip) {

@@ -3,11 +3,13 @@
 // polymorphic SaveModel/LoadAnyModel API, manifest error handling
 // (missing files, version collisions, kind/fingerprint mismatches),
 // refcounted handles outliving the registry, and swap-under-concurrent-
-// load with bit-identical attributions per version (the `registry` ctest
-// label is part of the TSan job — budgets are deliberately small).
+// load with bit-identical attributions per version, in the responses and
+// in the audit ledger (the `registry` ctest label is part of the TSan job
+// — budgets are deliberately small).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include "model/naive_bayes.h"
 #include "model/registry.h"
 #include "model/serialize.h"
+#include "obs/audit.h"
 #include "serve/service.h"
 
 namespace xai {
@@ -392,8 +395,12 @@ GradientBoostedTrees* SwapTest::v2_ = nullptr;
 
 TEST_F(SwapTest, SwapUnderConcurrentLoadIsBitIdenticalPerVersion) {
   constexpr size_t kThreads = 4;
-  constexpr size_t kPerThread = 10;
   constexpr size_t kRows = 4;
+  // Live traffic straddles the flip: the clients keep submitting until
+  // kPreSwapQuota responses came from v1 before the swap starts and
+  // kPostSwapQuota from v2 after it lands, however long each phase takes.
+  constexpr size_t kPreSwapQuota = 8;
+  constexpr size_t kPostSwapQuota = 8;
   const ModelHandle h1 = ModelHandle::Borrow(*v1_, "gbdt", 1);
   const ModelHandle h2 = ModelHandle::Borrow(*v2_, "gbdt", 2);
 
@@ -403,56 +410,123 @@ TEST_F(SwapTest, SwapUnderConcurrentLoadIsBitIdenticalPerVersion) {
     want2.push_back(Solo(*v2_, ExplainerKind::kTreeShap, r));
   }
 
+  const std::string audit_dir = ScratchDir("swap_audit");
+  auto opened = obs::AuditLog::Open(audit_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const std::shared_ptr<obs::AuditLog> audit = std::move(opened).value();
+
   ExplanationServiceOptions opts;
   opts.config = FastConfig();
+  opts.audit = audit;
   ExplanationService service(h1, *ds_, opts);
 
+  std::atomic<size_t> submitted{0};
   std::atomic<size_t> resolved{0};
+  std::atomic<size_t> on_v1{0};
+  std::atomic<size_t> on_v2{0};
   std::atomic<size_t> mismatches{0};
   std::atomic<size_t> unknown_version{0};
-  auto check = [&](const Result<ExplanationResponse>& r, size_t row) {
-    if (!r.ok()) return;  // counted via resolved below
+  std::atomic<bool> failed{false};
+  std::atomic<bool> stop{false};
+  auto check = [&](const ExplanationResponse& r, size_t row) {
     resolved.fetch_add(1);
     const std::vector<FeatureAttribution>* want = nullptr;
-    if (r->breakdown.model_version == 1) want = &want1;
-    else if (r->breakdown.model_version == 2) want = &want2;
+    if (r.breakdown.model_version == 1) {
+      want = &want1;
+      on_v1.fetch_add(1);
+    } else if (r.breakdown.model_version == 2) {
+      want = &want2;
+      on_v2.fetch_add(1);
+    }
     if (want == nullptr) {
       unknown_version.fetch_add(1);
       return;
     }
-    for (size_t j = 0; j < r->attribution.values.size(); ++j)
-      if (r->attribution.values[j] != (*want)[row].values[j])
+    for (size_t j = 0; j < r.attribution.values.size(); ++j)
+      if (r.attribution.values[j] != (*want)[row].values[j])
         mismatches.fetch_add(1);
   };
 
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (size_t i = 0; i < kPerThread; ++i) {
+      for (size_t i = 0; !stop.load(); ++i) {
         const size_t row = (t + i) % kRows;
         ExplanationRequest req;
         req.instance = ds_->row(row);
         req.kind = ExplainerKind::kTreeShap;
-        check(service.Submit(std::move(req)).get(), row);
+        submitted.fetch_add(1);
+        const Result<ExplanationResponse> r =
+            service.Submit(std::move(req)).get();
+        if (!r.ok()) {
+          failed.store(true);
+          return;
+        }
+        check(*r, row);
       }
     });
   }
-  // Swap mid-load, from yet another thread.
-  std::thread swapper([&] {
-    auto report = service.SwapModel(h2, {.warm_rows = 8});
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-  });
+  auto wait_for = [&](const std::atomic<size_t>& count, size_t quota) {
+    while (count.load() < quota && !failed.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  // Swap mid-load, from a thread that is not a client.
+  wait_for(on_v1, kPreSwapQuota);
+  auto report = service.SwapModel(h2, {.warm_rows = 8});
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  wait_for(on_v2, kPostSwapQuota);
+  stop.store(true);
   for (auto& th : threads) th.join();
-  swapper.join();
   service.Shutdown();
+  audit->Flush();
 
-  EXPECT_EQ(resolved.load(), kThreads * kPerThread);  // nothing dropped
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(resolved.load(), submitted.load());  // nothing dropped
+  EXPECT_GE(on_v1.load(), kPreSwapQuota);
+  EXPECT_GE(on_v2.load(), kPostSwapQuota);
   EXPECT_EQ(unknown_version.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
   const ExplanationServiceStats stats = service.stats();
   EXPECT_EQ(stats.swaps, 1u);
   EXPECT_EQ(stats.model_version, 2);
   EXPECT_EQ(service.serving_model().version(), 2);
+
+  // The ledger holds every served response, each bit-identical to the
+  // solo reference of the version that served it.
+  EXPECT_EQ(audit->stats().dropped, 0u);
+  auto reader = obs::AuditReader::Open(audit_dir);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  size_t records = 0;
+  size_t logged_v1 = 0;
+  size_t logged_v2 = 0;
+  const Status scanned = reader->ForEach(
+      obs::AuditQuery{}, [&](const obs::AuditRecord& rec) {
+        ++records;
+        size_t row = kRows;
+        for (size_t r = 0; r < kRows; ++r)
+          if (rec.instance == ds_->row(r)) row = r;
+        ASSERT_LT(row, kRows) << "record " << records;
+        const std::vector<FeatureAttribution>* want = nullptr;
+        if (rec.model_version == 1) {
+          want = &want1;
+          ++logged_v1;
+        } else if (rec.model_version == 2) {
+          want = &want2;
+          ++logged_v2;
+        }
+        ASSERT_NE(want, nullptr) << "version " << rec.model_version;
+        EXPECT_EQ(rec.prediction, (*want)[row].prediction);
+        EXPECT_EQ(rec.base_value, (*want)[row].base_value);
+        ASSERT_FALSE(rec.top_attr.empty());
+        for (const obs::AuditTopAttr& a : rec.top_attr) {
+          ASSERT_LT(a.index, (*want)[row].values.size());
+          EXPECT_EQ(a.value, (*want)[row].values[a.index]);
+        }
+      });
+  ASSERT_TRUE(scanned.ok()) << scanned.ToString();
+  EXPECT_EQ(records, resolved.load());
+  EXPECT_GT(logged_v1, 0u);
+  EXPECT_GT(logged_v2, 0u);
 }
 
 TEST_F(SwapTest, SwapWarmsCacheForHotRows) {

@@ -102,8 +102,10 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_FALSE(LoadAnyModel("/nonexistent/m.txt").ok());
   // Short artifacts whose header counts claim far more numbers than the
   // file holds: each is rejected before the count sizes an allocation
-  // (the knn one used to throw std::bad_alloc out of LoadAnyModel).
-  const std::vector<std::pair<const char*, const char*>> oversized = {
+  // (the knn one used to throw std::bad_alloc out of LoadAnyModel). The
+  // last knn one is complete but its schema names fewer features than its
+  // rows hold; it used to load, and reading a column's spec overflowed.
+  const std::vector<std::pair<const char*, const char*>> malformed = {
       {"knn rows x features",
        "xaidb_model v1\ntype knn\nk 3\nnum_rows 10000000\n"
        "num_features 1000000\nschema 0\nlabels\n"},
@@ -113,6 +115,9 @@ TEST(Serialize, RejectsGarbage) {
       {"knn category count",
        "xaidb_model v1\ntype knn\nk 3\nnum_rows 1\nnum_features 1\n"
        "schema 1\ncat a 1000000 x y\n"},
+      {"knn schema shorter than rows",
+       "xaidb_model v1\ntype knn\nk 1\nnum_rows 1\nnum_features 3\n"
+       "schema 1\nnum a\nlabels\n1\n0.5 1.5 2.5\n"},
       {"linear weights",
        "xaidb_model v1\ntype linear\nlambda 0\nintercept 0\n"
        "weights 10000000 1 2\n"},
@@ -121,7 +126,7 @@ TEST(Serialize, RejectsGarbage) {
       {"nbayes llr",
        "xaidb_model v1\ntype nbayes\nprior_log_odds 0\nllr 10000000 1 2\n"},
   };
-  for (const auto& [name, text] : oversized) {
+  for (const auto& [name, text] : malformed) {
     {
       std::ofstream out(path);
       out << text;
