@@ -16,9 +16,11 @@
 //   xaidb_cli --audit-replay <dir> [--registry-dir <dir>] [--model-version N]
 //
 // The CSV format is WriteCsv's: header row, last column = binary target.
+// A NaN cell fails every tree fit (gbdt, forest) with InvalidArgument.
 // With no arguments the tool writes a demo CSV to /tmp and explains it —
-// so `xaidb_cli` alone always produces output. An unknown --flag, or a
-// value flag with no value after it, is an error (exit 1).
+// so `xaidb_cli` alone always produces output. An unknown --flag, a value
+// flag with no value after it, or a second positional argument is an
+// error (exit 1).
 //
 // --max-bins N sets the histogram resolution of the gbdt and forest fits
 // (default 256); a value outside [2, 65536] fails the fit.
@@ -55,7 +57,9 @@
 //
 // --threads N caps the worker pool behind the batched explainer sweeps
 // (overrides the XAIDB_THREADS env var; default = hardware concurrency).
-// Attributions are bit-identical for every N at a fixed seed.
+// N must be in [1, 256] (kMaxThreads); anything else exits 1 before a
+// pool is built. Attributions are bit-identical for every N at a fixed
+// seed.
 //
 // --cache-size N sets the coalition-value memo cache capacity (overrides
 // the XAIDB_CACHE env var; 0 disables). One-shot modes default to off;
@@ -97,6 +101,7 @@
 // "max_abs_diff 0" line is the determinism proof. Records whose model
 // fingerprint differs from the loaded model are reported but skipped.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -344,7 +349,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-json" && i + 1 < argc) {
       trace_json_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      SetGlobalThreads(static_cast<size_t>(std::atoll(argv[++i])));
+      const char* value = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      const long long n = std::strtoll(value, &end, 10);
+      if (end == value || *end != '\0' || errno != 0 || n < 1 ||
+          n > static_cast<long long>(kMaxThreads)) {
+        std::fprintf(stderr,
+                     "error: --threads must be an integer in [1, %zu], "
+                     "got '%s'\n",
+                     kMaxThreads, value);
+        return 1;
+      }
+      SetGlobalThreads(static_cast<size_t>(n));
     } else if (arg == "--cache-size" && i + 1 < argc) {
       cache_size = std::atoll(argv[++i]);
       if (cache_size < 0) cache_size = 0;
@@ -392,6 +409,9 @@ int main(int argc, char** argv) {
       return 1;
     } else if (csv_path.empty()) {
       csv_path = arg;
+    } else {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
+      return 1;
     }
   }
   // Ledger inspection is fully standalone: no model, no CSV, no monitor.

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -141,7 +142,8 @@ size_t g_pool_size = 0;
 
 size_t GlobalThreadCount() {
   const size_t override_n = g_thread_override.load(std::memory_order_relaxed);
-  return override_n >= 1 ? override_n : EnvThreadCount();
+  return std::min(kMaxThreads,
+                  override_n >= 1 ? override_n : EnvThreadCount());
 }
 
 void SetGlobalThreads(size_t n) {

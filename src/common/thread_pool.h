@@ -70,9 +70,13 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// Upper bound on the library-wide parallelism degree, whatever
+/// SetGlobalThreads, XAIDB_THREADS or the hardware asks for.
+inline constexpr size_t kMaxThreads = 256;
+
 /// The configured library-wide parallelism degree. Resolution order:
 /// SetGlobalThreads() (CLI flags, tests) > XAIDB_THREADS env var >
-/// hardware_concurrency. Always >= 1.
+/// hardware_concurrency. Always in [1, kMaxThreads].
 size_t GlobalThreadCount();
 
 /// Overrides the global thread count (0 restores the env/hardware

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -31,17 +32,35 @@ namespace xai {
 ///    distinct values that straddle each rank, then deduplicated.
 ///
 /// Constant columns yield a single bin and are never candidates for a
-/// split. Values are assumed NaN-free (the Dataset layer's contract).
+/// split. -0.0 and +0.0 are one distinct value; ±inf are ordinary values.
+///
+/// How the boundaries are found: each value becomes an order-preserving
+/// u64 key (the sign bit of a non-negative double set, every bit of a
+/// negative one flipped), the keys are LSD-radix-sorted with 11-bit
+/// digits (a pass whose digit is the same for every key is skipped), and
+/// walks over the sorted keys count the distinct values and place the
+/// boundaries. No sorted, distinct or count copy of the column is made.
+///
+/// Codes come from a fixed-depth branchless search: the boundaries are
+/// padded with +inf to a power of two above their count, and a search of
+/// log2(that size) steps returns `std::lower_bound`'s index for every
+/// non-NaN value, ±inf included. `CodeOf` runs it on one value;
+/// `BinnedDataset::Build` runs it on 16 rows in lockstep.
+///
+/// NaN contract: the column must be NaN-free. `BinnedDataset::Build`
+/// checks it and returns `InvalidArgument` naming the feature; the raw
+/// `Build` below does not check, and a NaN there yields unspecified (but
+/// finite-time) boundaries.
 class BinMapper {
  public:
   BinMapper() = default;
 
   /// Builds boundaries for one feature from `n` raw values (unsorted,
-  /// read-only). `max_bins` must be in [2, 65536].
+  /// read-only, NaN-free). `max_bins` must be in [2, 65536].
   static BinMapper Build(const double* values, size_t n, int max_bins);
 
   /// Number of bins (>= 1). Constant features have exactly one bin.
-  int num_bins() const { return static_cast<int>(bounds_.size()) + 1; }
+  int num_bins() const { return num_bounds_ + 1; }
 
   /// Bin code of a raw value: first bin b with v <= BinUpperBound(b).
   uint32_t CodeOf(double v) const;
@@ -49,15 +68,25 @@ class BinMapper {
   /// Upper boundary of bin b: a real threshold lying strictly between the
   /// raw values of bin b and bin b+1. The last bin's bound is +infinity.
   double BinUpperBound(int b) const {
-    return b < static_cast<int>(bounds_.size())
-               ? bounds_[static_cast<size_t>(b)]
-               : std::numeric_limits<double>::infinity();
+    return b < num_bounds_ ? search_[static_cast<size_t>(b)]
+                           : std::numeric_limits<double>::infinity();
   }
 
-  const std::vector<double>& bounds() const { return bounds_; }
+  /// The num_bins() - 1 boundaries, strictly increasing.
+  std::span<const double> bounds() const {
+    return {search_.data(), static_cast<size_t>(num_bounds_)};
+  }
 
  private:
-  std::vector<double> bounds_;  // Strictly increasing; size = num_bins - 1.
+  friend class BinnedDataset;
+
+  /// Takes the boundaries and pads them for the search.
+  explicit BinMapper(std::vector<double> bounds);
+
+  int num_bounds_ = 0;
+  // The boundaries, then +inf up to the next power of two above
+  // num_bounds_ (one +inf for a constant column).
+  std::vector<double> search_{std::numeric_limits<double>::infinity()};
 };
 
 /// A quantized, column-major copy of a feature matrix: one code column per
@@ -65,12 +94,21 @@ class BinMapper {
 /// otherwise (max_bins is capped at 65536). Built once per forest/GBDT fit
 /// and shared read-only by every tree the fit grows — the histogram
 /// learner never touches the raw doubles again.
+///
+/// Build runs on GlobalPool() in two sweeps. The boundary sweep keeps at
+/// most two features in flight: each of two slots owns 16 B per row of
+/// scratch (keys plus the radix buffer), allocated once per Build on the
+/// calling thread, and bins features s, s + 2, ... in turn. The code sweep
+/// then codes fixed blocks of rows for every feature. Each feature's bins
+/// and each row's codes depend only on the input, so the result is
+/// byte-identical for any thread count and any schedule.
 class BinnedDataset {
  public:
   BinnedDataset() = default;
 
   /// Quantizes every column of x. `max_bins` in [2, 65536]; values above
-  /// 256 switch wide features to u16 codes.
+  /// 256 switch wide features to u16 codes. A NaN anywhere in x returns
+  /// InvalidArgument naming the lowest such feature.
   static Result<BinnedDataset> Build(const Matrix& x, int max_bins = 256);
 
   size_t rows() const { return rows_; }

@@ -8,6 +8,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +25,7 @@
 #include "model/metrics.h"
 #include "model/tree.h"
 #include "reference/exact_learner.h"
+#include "reference/sorted_binning.h"
 #include "reference/tree_walkers.h"
 
 namespace xai {
@@ -73,6 +78,14 @@ void ExpectIdenticalTrees(const Tree& a, const Tree& b,
     if (compare_thresholds)
       EXPECT_EQ(a.nodes[i].threshold, b.nodes[i].threshold) << "node " << i;
   }
+}
+
+/// True when a and b hold the same doubles byte for byte (memcmp may not
+/// be given an empty vector's null data pointer).
+bool SameBytes(std::span<const double> a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (b.empty() ||
+          std::memcmp(a.data(), b.data(), b.size() * sizeof(double)) == 0);
 }
 
 // ---------------------------------------------------------------- BinMapper
@@ -132,6 +145,35 @@ TEST(BinMapper, ConstantColumnGetsOneBin) {
   EXPECT_EQ(m.num_bins(), 1);
   EXPECT_EQ(m.CodeOf(3.14), 0u);
   EXPECT_TRUE(std::isinf(m.BinUpperBound(0)));
+}
+
+TEST(BinMapper, ZeroBelowInfinityKeepsItsSign) {
+  // -0.0 and +0.0 are one distinct value. Their sign can only show in a
+  // boundary between 0 and +inf, where the midpoint overflows and the
+  // lower value is the boundary: it is the column's own zero, and -0.0
+  // when the column holds both.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> neg = {-0.0, inf, -0.0};
+  const std::vector<double> pos = {0.0, inf, 0.0};
+  const std::vector<double> mixed = {0.0, -0.0, inf, 0.0};
+  for (const auto* vals : {&neg, &pos, &mixed}) {
+    BinMapper m = BinMapper::Build(vals->data(), vals->size(), 256);
+    ASSERT_EQ(m.num_bins(), 2);
+    EXPECT_EQ(m.bounds()[0], 0.0);
+    EXPECT_EQ(std::signbit(m.bounds()[0]), vals != &pos);
+    EXPECT_EQ(m.CodeOf(-0.0), 0u);
+    EXPECT_EQ(m.CodeOf(0.0), 0u);
+    EXPECT_EQ(m.CodeOf(inf), 1u);
+  }
+  // With one sign only, the order of equal zeros after std::sort does not
+  // matter, and the reference gives the same bytes.
+  for (const auto* vals : {&neg, &pos}) {
+    const std::vector<double> ref =
+        reference::SortedBinBounds(vals->data(), vals->size(), 256);
+    BinMapper m = BinMapper::Build(vals->data(), vals->size(), 256);
+    ASSERT_EQ(ref.size(), 1u);
+    EXPECT_TRUE(SameBytes(m.bounds(), ref));
+  }
 }
 
 // ------------------------------------------------------------ BinnedDataset
@@ -198,6 +240,126 @@ TEST(BinnedDataset, RejectsBadArguments) {
   auto cx = CxplainExplainer::Fit(*model, ds, cx_opts);
   ASSERT_FALSE(cx.ok());
   EXPECT_EQ(cx.status().code(), StatusCode::kInvalidArgument);
+
+  // A NaN feature value fails the bin build, naming the lowest feature
+  // that holds one, and with it every tree fit. +-inf stay valid.
+  Matrix nan_x(1000, 3);
+  for (size_t i = 0; i < nan_x.rows(); ++i)
+    for (size_t j = 0; j < nan_x.cols(); ++j)
+      nan_x(i, j) = static_cast<double>((i * (j + 3)) % 17);
+  nan_x(10, 2) = std::numeric_limits<double>::infinity();
+  nan_x(20, 0) = -std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(BinnedDataset::Build(nan_x, 256).ok());
+  nan_x(999, 2) = std::nan("");
+  nan_x(500, 1) = -std::nan("");
+  auto nan_binned = BinnedDataset::Build(nan_x, 256);
+  ASSERT_FALSE(nan_binned.ok());
+  EXPECT_EQ(nan_binned.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan_binned.status().message().find("feature 1"),
+            std::string::npos)
+      << nan_binned.status().message();
+
+  Dataset nan_ds = MakeLoanDataset(200);
+  nan_ds.mutable_x()(57, 3) = std::nan("");
+  auto nan_gbdt = GradientBoostedTrees::Fit(nan_ds, {.num_rounds = 3});
+  ASSERT_FALSE(nan_gbdt.ok());
+  EXPECT_EQ(nan_gbdt.status().code(), StatusCode::kInvalidArgument);
+  auto nan_forest = RandomForest::Fit(nan_ds, {.num_trees = 3});
+  ASSERT_FALSE(nan_forest.ok());
+  EXPECT_EQ(nan_forest.status().code(), StatusCode::kInvalidArgument);
+  auto nan_dtree = DecisionTree::Fit(nan_ds, Config(4, 5));
+  ASSERT_FALSE(nan_dtree.ok());
+  EXPECT_EQ(nan_dtree.status().code(), StatusCode::kInvalidArgument);
+  auto nan_cx = CxplainExplainer::Fit(*model, nan_ds, CxplainOptions{});
+  ASSERT_FALSE(nan_cx.ok());
+  EXPECT_EQ(nan_cx.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Columns that stress the binning's edges, n rows each: Gaussian,
+/// lossless integers, constant, heavy duplicates, mixed +-0.0, +-inf
+/// among huge finite values, subnormals, and 300 distinct values.
+Matrix EdgeColumns(size_t n) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double huge = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double extremes[] = {-inf, inf, -huge, huge, -1e300, 1e300, -1e308};
+  Matrix x(n, 8);
+  Rng rng(static_cast<uint64_t>(n) * 31 + 5);
+  for (size_t i = 0; i < n; ++i) {
+    const double g = rng.Gaussian();
+    const uint64_t r = rng.NextInt(1000);
+    x(i, 0) = g;
+    x(i, 1) = static_cast<double>(static_cast<int64_t>(r % 41) - 20);
+    x(i, 2) = 3.25;
+    x(i, 3) = r < 900 ? 1.0 : g;
+    x(i, 4) = r % 3 == 0 ? -0.0 : r % 3 == 1 ? 0.0 : g;
+    x(i, 5) = r < 300 ? extremes[r % 7] : g * 1e300;
+    x(i, 6) = static_cast<double>(r % 50) * tiny * (r % 2 == 0 ? 1.0 : -1.0);
+    x(i, 7) = static_cast<double>((i * 7919) % 300) * 0.37 - 50.0;
+  }
+  return x;
+}
+
+TEST(BinnedDataset, MatchesSortedReferenceByteForByte) {
+  // The radix-sort Build against the std::sort + std::lower_bound oracle:
+  // bounds and codes memcmp-equal for every column, max_bins, row count
+  // (1, 15, 16, 17 and 4097 cover the 16-lane lockstep tail) and thread
+  // count. CodeOf must give lower_bound's index for any non-NaN value.
+  ThreadCountGuard guard;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const size_t n : {1, 15, 16, 17, 4097}) {
+    const Matrix x = EdgeColumns(n);
+    for (const int max_bins : {2, 3, 16, 255, 256, 257, 1024, 65536}) {
+      std::vector<std::vector<double>> ref_bounds;
+      std::vector<std::vector<uint32_t>> ref_codes;
+      for (size_t f = 0; f < x.cols(); ++f) {
+        const std::vector<double> col = x.Col(f);
+        ref_bounds.push_back(
+            reference::SortedBinBounds(col.data(), n, max_bins));
+        std::vector<uint32_t> codes(n);
+        for (size_t i = 0; i < n; ++i)
+          codes[i] = reference::LowerBoundCode(ref_bounds[f], col[i]);
+        ref_codes.push_back(std::move(codes));
+
+        // The raw entry point and CodeOf, on the column and on probes.
+        const BinMapper m = BinMapper::Build(col.data(), n, max_bins);
+        ASSERT_TRUE(SameBytes(m.bounds(), ref_bounds[f]));
+        std::vector<double> probes = col;
+        probes.insert(probes.end(), {-inf, inf, -0.0, 0.0});
+        for (const double b : ref_bounds[f])
+          probes.insert(probes.end(), {b, std::nextafter(b, -inf),
+                                       std::nextafter(b, inf)});
+        for (const double v : probes)
+          ASSERT_EQ(m.CodeOf(v), reference::LowerBoundCode(ref_bounds[f], v))
+              << "v=" << v << " f=" << f << " n=" << n
+              << " max_bins=" << max_bins;
+      }
+
+      for (const size_t threads : {1, 2, 4}) {
+        SetGlobalThreads(threads);
+        auto ds = BinnedDataset::Build(x, max_bins);
+        ASSERT_TRUE(ds.ok());
+        for (size_t f = 0; f < x.cols(); ++f) {
+          SCOPED_TRACE(testing::Message()
+                       << "f=" << f << " n=" << n << " max_bins=" << max_bins
+                       << " threads=" << threads);
+          ASSERT_TRUE(SameBytes(ds->mapper(f).bounds(), ref_bounds[f]));
+          ASSERT_EQ(ds->narrow(f), ref_bounds[f].size() + 1 <= 256);
+          if (ds->narrow(f)) {
+            std::vector<uint8_t> want(ref_codes[f].begin(),
+                                      ref_codes[f].end());
+            EXPECT_EQ(std::memcmp(ds->Codes8(f), want.data(), n), 0);
+          } else {
+            std::vector<uint16_t> want(ref_codes[f].begin(),
+                                       ref_codes[f].end());
+            EXPECT_EQ(std::memcmp(ds->Codes16(f), want.data(),
+                                  n * sizeof(uint16_t)),
+                      0);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- hist-vs-exact parity

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -98,6 +100,28 @@ TEST(ThreadPool, GlobalThreadOverride) {
   SetGlobalThreads(1);
   EXPECT_EQ(GlobalThreadCount(), 1u);
   EXPECT_EQ(GlobalPool().num_threads(), 1u);
+}
+
+TEST(ThreadPool, GlobalThreadCountIsCapped) {
+  // Only GlobalThreadCount() is read: no pool of the requested size is
+  // ever built.
+  ThreadCountGuard guard;
+  SetGlobalThreads(1'000'000);
+  EXPECT_EQ(GlobalThreadCount(), kMaxThreads);
+  SetGlobalThreads(kMaxThreads);
+  EXPECT_EQ(GlobalThreadCount(), kMaxThreads);
+
+  const char* old_env = std::getenv("XAIDB_THREADS");
+  const std::string saved = old_env != nullptr ? old_env : "";
+  SetGlobalThreads(0);
+  setenv("XAIDB_THREADS", "1000000", 1);
+  EXPECT_EQ(GlobalThreadCount(), kMaxThreads);
+  setenv("XAIDB_THREADS", "3", 1);
+  EXPECT_EQ(GlobalThreadCount(), 3u);
+  if (old_env != nullptr)
+    setenv("XAIDB_THREADS", saved.c_str(), 1);
+  else
+    unsetenv("XAIDB_THREADS");
 }
 
 TEST(ChunkSeed, DeterministicAndDecorrelated) {
